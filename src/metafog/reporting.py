@@ -127,6 +127,11 @@ def write_plot_data(results: list[ScenarioResult], param: str, path: str | Path)
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+# Extras that count the simulator's own events rather than model outcomes;
+# they stay on ScenarioResult.extras but are not part of the run's outputs.
+_RUN_COUNTERS = ("events_scheduled", "events_dispatched")
+
+
 def write_metadata(cfg: dict, results: list[ScenarioResult], path: str | Path,
                    notes: dict | None = None) -> None:
     """Full resolved config plus per-scenario reconciliation counters."""
@@ -148,7 +153,7 @@ def write_metadata(cfg: dict, results: list[ScenarioResult], path: str | Path,
                 "replication": r.replication,
                 "seed": r.seed,
                 "config_digest": r.config_digest,
-                **r.extras,
+                **{k: v for k, v in r.extras.items() if k not in _RUN_COUNTERS},
             }
             for r in results
         ],
