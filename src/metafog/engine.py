@@ -12,6 +12,7 @@ import hashlib
 import heapq
 import math
 import random
+from decimal import Decimal
 
 from .errors import CausalityError, ConfigError, EventInPastError
 
@@ -40,10 +41,14 @@ EVENT_KIND_NAMES = (
 
 
 def ms_to_us(ms: float | int) -> int:
-    """Convert milliseconds to integer microseconds, rounding fractions up."""
+    """Convert milliseconds to integer microseconds, rounding fractions up.
+
+    A float is scaled as the decimal it prints as, so 16.1 ms is 16100 us;
+    the binary product 16.1 * 1000 is 16100.000000000002 and would round up.
+    """
     if isinstance(ms, int):
         return ms * US_PER_MS
-    return math.ceil(ms * US_PER_MS)
+    return math.ceil(Decimal(repr(ms)) * US_PER_MS)
 
 
 def us_to_ms(us: int) -> float:

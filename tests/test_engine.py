@@ -166,3 +166,9 @@ def test_ms_to_us_rounds_fractions_up():
     assert ms_to_us(2) == 2_000
     assert ms_to_us(2.0) == 2_000
     assert ms_to_us(0.0005) == 1
+
+
+def test_ms_to_us_is_exact_for_decimal_milliseconds():
+    # the float product is one microsecond high for 16.1, 32.2, 32.7, 64.4, 64.9 and 65.4
+    for tenths in range(1, 1000):
+        assert ms_to_us(tenths / 10) == tenths * 100, tenths / 10

@@ -39,11 +39,21 @@ SCENARIOS = {
         "topology": {"edges_per_region": 3},
         "workload": {"user_count": 600, "message_rate_per_user_per_s": 0.5},
         "experiment": _experiment(30_000.0)}),
+    # 16.1 ms is one of the decimal delays a binary float product rounds a microsecond high
+    "cloud-decimal-link": (Policy.CLOUD_ONLY, {
+        "topology": {"links": {"edge_cloud": {"propagation_ms": 16.1}}},
+        "workload": {"user_count": 500},
+        "experiment": _experiment(30_000.0)}),
 }
 
 SWEEP = ({"experiment": _experiment(20_000.0)}, [200, 600])
 
 GOLDEN = {
+    "cloud-decimal-link": {
+        "results.csv": "4b8b8f2bf9fb0e2210032c9e579bc2f384635717fddc1a14235a8b277d76feba",
+        "run_metadata.json": "a1ff201caf402fd0b7cb7f7a987d9615d3fc3e0af147fa4c5115156c18f87533",
+        "chain.txt": "5ca6c519c79187e748cf61ebd9fe328d8b5c4c6f90c877cdb65c1ed9334f8e85",
+    },
     "cloud-1000u-60s": {
         "results.csv": "77b929ef26a1b305976d8d1cec9386d3588cba705e599184f9581b13f4c6d398",
         "run_metadata.json": "7174917c43afe3886f7cc00050eca435d3e7af3ccd31b9690c40787dec0122d1",
