@@ -34,7 +34,6 @@ from .harness import (
     sweep,
 )
 from .infrastructure import (
-    ComputeQueue,
     LatencyRecord,
     Link,
     LinkParams,
@@ -44,7 +43,6 @@ from .infrastructure import (
     Topology,
     build_topology,
     build_user_topology,
-    end_to_end_latency,
     service_time_us,
     simulate_mm1,
     transfer_time,

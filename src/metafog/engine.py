@@ -22,21 +22,15 @@ US_PER_S = 1_000_000
 # Event kinds. Integers in the queue keep comparisons cheap; EVENT_KIND_NAMES
 # maps them back to readable tags for transcripts and debugging.
 EV_TASK_ARRIVAL = 0
-EV_TRANSFER_COMPLETE = 1
-EV_SERVICE_COMPLETE = 2
-EV_MOVEMENT_TICK = 3
-EV_MESSAGE_SEND = 4
-EV_TX_SUBMIT = 5
-EV_BLOCK_FORMED = 6
+EV_MOVEMENT_TICK = 1
+EV_MESSAGE_SEND = 2
+EV_TX_SUBMIT = 3
 
 EVENT_KIND_NAMES = (
     "task-arrival",
-    "transfer-complete",
-    "service-complete",
     "movement-tick",
     "message-send",
     "tx-submit",
-    "block-formed",
 )
 
 

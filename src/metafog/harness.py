@@ -1,12 +1,17 @@
 """Experiment driver: scenario assembly, execution, aggregation and sweeps.
 
 A scenario wires the engine, world, topology, workload generators and ledger
-together for one (config, policy, seed) triple and runs to the horizon. Every
-task flows through three events: uplink transfer-complete, service-complete,
-downlink transfer-complete; its latency record is emitted when the downlink
-lands back at the device. Sweeps run one independent scenario per
-(value, policy, replication) and order results deterministically, so serial
-and parallel execution produce identical output.
+together for one (config, policy, seed) triple and runs to the horizon in two
+phases. The event loop only generates work: movement ticks, messages,
+transactions and universe tasks, each placed and submitted as a task. Links
+have no contention and no task outcome feeds back into generation, so the
+queues are resolved apart from the loop: once per simulated second, every
+task that has reached its server is served FIFO by Lindley's recurrence, and
+every task whose downlink has landed back at the device is emitted, in the
+order of its finish time, to the latency statistics, the record sink and the
+ledger. Sweeps run one independent scenario per (value, policy, replication)
+and order results deterministically, so serial and parallel execution
+produce identical output.
 """
 
 from __future__ import annotations
@@ -22,12 +27,9 @@ import numpy as np
 from . import infrastructure as infra
 from .config import config_digest, resolve_config
 from .engine import (
-    EV_BLOCK_FORMED,
     EV_MESSAGE_SEND,
     EV_MOVEMENT_TICK,
-    EV_SERVICE_COMPLETE,
     EV_TASK_ARRIVAL,
-    EV_TRANSFER_COMPLETE,
     EV_TX_SUBMIT,
     US_PER_S,
     Engine,
@@ -40,7 +42,7 @@ from .engine import (
     ms_to_us,
 )
 from .errors import ConfigError
-from .infrastructure import ComputeQueue, LatencyRecord, TierParams, LinkParams
+from .infrastructure import LatencyRecord, TierParams, LinkParams
 from .ledger import Chain, Transaction, validate_transaction
 from .stats import percentile
 from .workload import (
@@ -82,48 +84,69 @@ class ScenarioResult:
     extras: dict = field(default_factory=dict)
 
 
+# The run resolves the queues once per window of simulated time.
+WINDOW_US = US_PER_S
+
+# Columns of a task row: the fields submit() buffers, then the completion and
+# finish times the resolve pass adds. IDX is the submit index, which breaks
+# ties in FIFO and emission order.
+(_IDX, _TID, _KIND, _OWNER, _SERVER, _CREATED, _UP, _SERVICE, _DOWN,
+ _DONE, _FINISH) = range(11)
+_SUBMITTED = _DONE
+
+
 class TaskPipeline:
-    """Stages placed tasks through the three-event lifecycle and records latency."""
+    """Queues placed tasks FIFO at their servers and records their latency.
+
+    submit() buffers a task. resolve(cutoff) serves every buffered task that
+    reaches its server by the cutoff and emits, in (finish, completion,
+    arrival, submit index) order, every task whose downlink lands by it; that
+    is the order in which a per-task event loop would finish them. Served
+    tasks wait for emission in buckets keyed by finish window, so a long
+    backlog is never rescanned.
+    """
 
     __slots__ = (
-        "engine", "topo", "policy", "warmup_us", "record_sink", "on_validated",
-        "node_index", "node_ids", "queues", "capacities",
+        "topo", "policy", "warmup_us", "record_sink", "on_validated",
+        "node_index", "node_ids", "capacities", "busy_until",
         "totals", "generated", "completed",
         "records_emitted", "tasks_generated",
+        "_buffer", "_held", "_buckets", "_txs",
     )
 
-    def __init__(self, engine: Engine, topo: infra.Topology, policy: Policy,
+    def __init__(self, topo: infra.Topology, policy: Policy,
                  warmup_us: int = 0, record_sink: Callable | None = None):
-        self.engine = engine
         self.topo = topo
         self.policy = policy
         self.warmup_us = warmup_us
         self.record_sink = record_sink
-        self.on_validated = None  # set by the runner: called (tx, now_us) after validation
+        # set by the runner: called (finish_us, txs) per finish time, in emission order
+        self.on_validated = None
         self.node_ids = sorted(topo.nodes_by_id)
         self.node_index = {nid: i for i, nid in enumerate(self.node_ids)}
-        self.queues = [ComputeQueue(nid, topo.nodes_by_id[nid].capacity_mips)
-                       for nid in self.node_ids]
-        self.capacities = [q.capacity_mips for q in self.queues]
-        self.totals = [array("q") for _ in TaskKind]
+        self.capacities = [topo.nodes_by_id[nid].capacity_mips for nid in self.node_ids]
+        self.busy_until = np.zeros(len(self.node_ids), dtype=np.int64)
+        self.totals: list[list[np.ndarray]] = [[] for _ in TaskKind]  # post-warm-up latencies
         self.generated = [0] * len(TaskKind)
         self.completed = [0] * len(TaskKind)
         self.records_emitted = 0
         self.tasks_generated = 0
-        engine.on(EV_TRANSFER_COMPLETE, self._on_transfer_complete)
-        engine.on(EV_SERVICE_COMPLETE, self._on_service_complete)
+        self._buffer = array("q")  # submitted since the last resolve, _SUBMITTED fields each
+        self._held = np.empty((0, _SUBMITTED), dtype=np.int64)  # submitted, not yet arrived
+        self._buckets: dict[int, list[np.ndarray]] = {}  # served, by finish // WINDOW_US
+        self._txs: dict[int, Transaction] = {}  # by submit index, until validated
 
     def submit(self, task_id: int, kind: int, owner: int, server_idx: int,
                created_us: int, uplink_us: int, service_us: int, downlink_us: int,
                tx: Transaction | None = None) -> None:
-        """Dispatch a placed task: the uplink transfer starts at created_us."""
-        self.tasks_generated += 1
+        """Buffer a placed task: the uplink transfer starts at created_us."""
+        index = self.tasks_generated
+        self.tasks_generated = index + 1
         self.generated[kind] += 1
-        self.engine.schedule(
-            created_us + uplink_us, EV_TRANSFER_COMPLETE,
-            (0, task_id, kind, owner, server_idx, created_us, uplink_us,
-             service_us, downlink_us, tx),
-        )
+        self._buffer.extend((index, task_id, kind, owner, server_idx, created_us,
+                             uplink_us, service_us, downlink_us))
+        if tx is not None:
+            self._txs[index] = tx
 
     def dispatch_task(self, task: Task, device_id: str, home_fog: str | None = None,
                       tx: Transaction | None = None) -> str:
@@ -137,54 +160,110 @@ class TaskPipeline:
                     task.created_us, uplink, service, downlink, tx)
         return server
 
-    # Event payload layout (tuples keep the hot path cheap):
-    #   stage 0, uplink done:  (0, tid, kind, owner, sidx, created, uplink, service, downlink, tx)
-    #   stage 1, downlink done: (1, tid, kind, owner, sidx, created, uplink, wait, service, downlink, tx)
+    def resolve(self, cutoff_us: int) -> None:
+        """Serve the tasks that arrive by cutoff_us; emit those that finish by it.
 
-    def _on_transfer_complete(self, now: int, p) -> None:
-        if p[0] == 0:
-            queue = self.queues[p[4]]
-            service = p[7]
-            start = queue.busy_until_us
-            if now > start:
-                start = now
-            completion = start + service
-            queue.busy_until_us = completion
-            self.engine.schedule(
-                completion, EV_SERVICE_COMPLETE,
-                (1, p[1], p[2], p[3], p[4], p[5], p[6], start - now, service, p[8], p[9]),
-            )
-        else:
-            self._finish(now, p)
+        Every task that arrives at its server by cutoff_us must have been
+        submitted. A server's future depends on its past only through
+        busy_until, so calls with increasing cutoffs compose exactly.
+        """
+        self._serve(cutoff_us)
+        for key in sorted(k for k in self._buckets if k <= cutoff_us // WINDOW_US):
+            rows = np.concatenate(self._buckets.pop(key))
+            late = rows[:, _FINISH] > cutoff_us
+            if late.any():
+                self._buckets[key] = [rows[late]]
+                rows = rows[~late]
+            self._emit(rows)
 
-    def _on_service_complete(self, now: int, p) -> None:
-        # service done; start the downlink transfer
-        self.engine.schedule(now + p[9], EV_TRANSFER_COMPLETE, p)
+    def _serve(self, cutoff_us: int) -> None:
+        # Work on index arrays and columns: each copy of whole rows adds to peak memory.
+        rows = np.concatenate((
+            self._held, np.frombuffer(self._buffer, dtype=np.int64).reshape(-1, _SUBMITTED)))
+        self._buffer = array("q")
+        arrival = rows[:, _CREATED] + rows[:, _UP]
+        ready = arrival <= cutoff_us
+        self._held = rows[~ready]
+        take = np.flatnonzero(ready)
+        if not take.size:
+            return
+        arrival = arrival[take]
+        server = rows[take, _SERVER]
+        order = np.lexsort((rows[take, _IDX], arrival, server))
+        take, arrival, server = take[order], arrival[order], server[order]
+        done = infra.fifo_completions(server, arrival, rows[take, _SERVICE], self.busy_until)
+        finish = done + rows[take, _DOWN]
+        key = finish // WINDOW_US
+        order = np.argsort(key, kind="stable")
+        served = np.empty((take.size, _FINISH + 1), dtype=np.int64)
+        served[:, :_SUBMITTED] = rows[take[order]]
+        served[:, _DONE] = done[order]
+        served[:, _FINISH] = finish[order]
+        key = key[order]
+        bounds = np.flatnonzero(key[1:] != key[:-1]) + 1
+        for part, k in zip(np.split(served, bounds), key[np.append(0, bounds)].tolist()):
+            self._buckets.setdefault(k, []).append(part)
 
-    def _finish(self, now: int, p) -> None:
-        kind = p[2]
-        created = p[5]
-        total = p[6] + p[7] + p[8] + p[9]
-        self.completed[kind] += 1
-        self.records_emitted += 1
-        if created >= self.warmup_us:
-            self.totals[kind].append(total)
+    def _emit(self, rows: np.ndarray) -> None:
+        """Count emitted tasks into the statistics; records and transactions go in order."""
+        kind = rows[:, _KIND]
+        created = rows[:, _CREATED]
+        total = rows[:, _FINISH] - created
+        warm = created >= self.warmup_us
+        for k, n in enumerate(np.bincount(kind, minlength=len(TaskKind)).tolist()):
+            if n:
+                self.completed[k] += n
+                kept = total[warm & (kind == k)]
+                if kept.size:
+                    self.totals[k].append(kept)
+        self.records_emitted += len(rows)
         if self.record_sink is not None:
-            self.record_sink(LatencyRecord(
-                p[1], kind, p[3], self.policy.value, self.node_ids[p[4]],
-                created, p[6], p[7], p[8], p[9], total,
-            ))
-        tx = p[10]
-        if tx is not None and self.on_validated is not None:
-            self.on_validated(tx, now)
+            self._record(_in_finish_order(rows))
+        if self._txs and self.on_validated is not None:
+            # dict order is submit order, so the keys come sorted
+            keys = np.fromiter(self._txs, dtype=np.int64, count=len(self._txs))
+            at = np.searchsorted(keys, rows[:, _IDX]).clip(max=keys.size - 1)
+            self._validate(_in_finish_order(rows[keys[at] == rows[:, _IDX]]))
+
+    def _record(self, rows: np.ndarray) -> None:
+        sink = self.record_sink
+        policy = self.policy.value
+        node_ids = self.node_ids
+        wait = rows[:, _DONE] - rows[:, _SERVICE] - rows[:, _CREATED] - rows[:, _UP]
+        total = rows[:, _FINISH] - rows[:, _CREATED]
+        for (tid, kind, owner, server, created, up, service, down), w, t in zip(
+                rows[:, _TID:_DONE].tolist(), wait.tolist(), total.tolist()):
+            sink(LatencyRecord(tid, kind, owner, policy, node_ids[server],
+                               created, up, w, service, down, t))
+
+    def _validate(self, rows: np.ndarray) -> None:
+        """Hand the emitted transactions over, grouped by equal finish time."""
+        txs = self._txs
+        group: list[Transaction] = []
+        at = None
+        for index, finish in rows[:, [_IDX, _FINISH]].tolist():
+            if finish != at and group:
+                self.on_validated(at, group)
+                group = []
+            at = finish
+            group.append(txs.pop(index))
+        if group:
+            self.on_validated(at, group)
 
     def in_flight(self) -> int:
         return self.tasks_generated - self.records_emitted
 
-    def pending_task_events(self) -> int:
-        """Independent in-flight measurement: task-stage events still queued."""
-        return sum(1 for e in self.engine._heap
-                   if e[2] == EV_TRANSFER_COMPLETE or e[2] == EV_SERVICE_COMPLETE)
+    def unfinished(self) -> int:
+        """Independent in-flight count: tasks buffered, held or served but not emitted."""
+        return (len(self._buffer) // _SUBMITTED + len(self._held)
+                + sum(len(part) for parts in self._buckets.values() for part in parts))
+
+
+def _in_finish_order(rows: np.ndarray) -> np.ndarray:
+    """Rows sorted by (finish, completion, arrival, submit index): the order in
+    which a per-task event loop would see the tasks finish."""
+    arrival = rows[:, _CREATED] + rows[:, _UP]
+    return rows[np.lexsort((rows[:, _IDX], arrival, rows[:, _DONE], rows[:, _FINISH]))]
 
 
 def _tier_params(cfg: dict) -> TierParams:
@@ -243,7 +322,7 @@ class ScenarioRunner:
             avatar.home_fog = fogs[user]
 
         self.engine = Engine()
-        self.pipeline = TaskPipeline(self.engine, topo, policy, self.warmup_us, record_sink)
+        self.pipeline = TaskPipeline(topo, policy, self.warmup_us, record_sink)
         self.pipeline.on_validated = self._tx_validated
 
         self.chain = Chain()
@@ -320,7 +399,6 @@ class ScenarioRunner:
         eng.on(EV_MESSAGE_SEND, self._on_message_send)
         eng.on(EV_TX_SUBMIT, self._on_tx_submit)
         eng.on(EV_TASK_ARRIVAL, self._on_task_arrival)
-        eng.on(EV_BLOCK_FORMED, self._on_block_formed)
 
     def _prime_events(self) -> None:
         n = self.n_users
@@ -408,36 +486,41 @@ class ScenarioRunner:
         self.pipeline.dispatch_task(task, self.topo.cloud_id)
         self.engine.schedule(now + self._universe_period_us, EV_TASK_ARRIVAL, None)
 
-    def _tx_validated(self, tx: Transaction, now: int) -> None:
-        self.chain.add_validated(tx)
-        if len(self.chain.pending) >= self.batch_size:
-            self.engine.schedule(now, EV_BLOCK_FORMED, None)
-
-    def _on_block_formed(self, now: int, _payload) -> None:
-        while self.chain.form_block(self.batch_size, now) is not None:
+    def _tx_validated(self, now: int, txs: list[Transaction]) -> None:
+        """Validate the transactions that finish at `now`, then form every full block."""
+        chain = self.chain
+        for tx in txs:
+            chain.add_validated(tx)
+        while chain.form_block(self.batch_size, now) is not None:
             pass
 
     # -- execution ----------------------------------------------------------
 
     def run(self) -> None:
-        self.engine.run_until(self.horizon_us)
+        """Generate a window at a time, resolving the queues after each window."""
+        engine = self.engine
+        pipeline = self.pipeline
+        for cutoff in range(WINDOW_US - 1, self.horizon_us, WINDOW_US):
+            engine.run_until(cutoff)
+            pipeline.resolve(cutoff)
+        engine.run_until(self.horizon_us)
+        pipeline.resolve(self.horizon_us)
         self.chain.flush(self.horizon_us)
 
     def collect(self, scenario_id: str, param: str, value, replication: int) -> ScenarioResult:
         pipeline = self.pipeline
-        pending = pipeline.pending_task_events()
+        unfinished = pipeline.unfinished()
         in_flight = pipeline.in_flight()
-        if pending != in_flight:
+        if unfinished != in_flight:
             raise AssertionError(
                 f"conservation violated: {in_flight} tasks unaccounted but "
-                f"{pending} task events queued"
+                f"{unfinished} tasks buffered or queued"
             )
-        stats: dict[str, KindStats] = {"overall": _kind_stats(_concat(pipeline.totals))}
+        per_kind = [np.sort(np.concatenate(parts)) if parts else np.empty(0, dtype=np.int64)
+                    for parts in pipeline.totals]
+        stats: dict[str, KindStats] = {"overall": _kind_stats(np.sort(np.concatenate(per_kind)))}
         for kind in TaskKind:
-            stats[KIND_LABELS[kind]] = _kind_stats(
-                np.sort(np.frombuffer(pipeline.totals[kind], dtype=np.int64))
-                if len(pipeline.totals[kind]) else np.empty(0, dtype=np.int64)
-            )
+            stats[KIND_LABELS[kind]] = _kind_stats(per_kind[kind])
         extras = {
             "tasks_generated": pipeline.tasks_generated,
             "records_emitted": pipeline.records_emitted,
@@ -467,13 +550,6 @@ class ScenarioRunner:
             stats=stats,
             extras=extras,
         )
-
-
-def _concat(totals: list[array]) -> np.ndarray:
-    parts = [np.frombuffer(a, dtype=np.int64) for a in totals if len(a)]
-    if not parts:
-        return np.empty(0, dtype=np.int64)
-    return np.sort(np.concatenate(parts))
 
 
 def _kind_stats(sorted_totals: np.ndarray) -> KindStats:

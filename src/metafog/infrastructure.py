@@ -14,18 +14,18 @@ from dataclasses import dataclass
 from enum import IntEnum
 from typing import NamedTuple
 
+import math
+
+import numpy as np
+
 from .engine import (
-    EV_TASK_ARRIVAL,
     STREAM_SERVICE,
     STREAM_TRANSACTIONS,
-    Engine,
     RngStream,
     ceil_div,
     ms_to_us,
 )
 from .errors import TopologyError
-
-import math
 
 
 class Tier(IntEnum):
@@ -236,28 +236,43 @@ def service_time_us(length_mi: int | float, capacity_mips: int) -> int:
     return math.ceil(length_mi * 1_000_000 / capacity_mips)
 
 
-class ComputeQueue:
-    """Non-preemptive FIFO compute queue of one node.
+def fifo_completions(server: np.ndarray, arrival: np.ndarray, service: np.ndarray,
+                     busy_until: np.ndarray) -> np.ndarray:
+    """Completion times at non-preemptive FIFO servers, by Lindley's recurrence.
 
-    Completion follows C_i = max(A_i, C_{i-1}) + S_i: a task starts when it has
-    arrived and the previous task is done, then runs to completion.
+    Tasks come grouped by server and, within a server, in the order it serves
+    them. Task i completes at C_i = max(A_i, C_{i-1}) + S_i: it starts when
+    it has arrived and the task before it is done, then runs to completion.
+    A server's first task here follows busy_until[server], the completion of
+    its last earlier task, and busy_until is advanced in place, so calls over
+    consecutive batches compose exactly.
+
+    The recurrence is evaluated in its max-plus form,
+    C_i = P_i + max_{j <= i}(A_j - P_{j-1}) with P the running service sum,
+    as one running maximum over all servers, each server's terms lifted
+    above the previous server's so that the maximum restarts per server.
     """
-
-    __slots__ = ("node_id", "capacity_mips", "busy_until_us")
-
-    def __init__(self, node_id: str, capacity_mips: int):
-        self.node_id = node_id
-        self.capacity_mips = capacity_mips
-        self.busy_until_us = 0
-
-    def execute(self, arrival_us: int, service_us: int) -> tuple[int, int]:
-        """Serve one task; returns (completion_us, wait_us)."""
-        start = self.busy_until_us
-        if arrival_us > start:
-            start = arrival_us
-        completion = start + service_us
-        self.busy_until_us = completion
-        return completion, start - arrival_us
+    n = server.size
+    if n == 0:
+        return np.empty(0, dtype=np.int64)
+    first = np.empty(n, dtype=bool)
+    first[0] = True
+    np.not_equal(server[1:], server[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    group = np.cumsum(first) - 1
+    before = np.cumsum(service) - service  # service of earlier tasks ...
+    before -= before[starts][group]  # ... of the same server
+    lead = arrival - before
+    lead[starts] = np.maximum(arrival[starts], busy_until[server[starts]])
+    low = int(lead.min())
+    span = int(lead.max()) - low + 1
+    if span * starts.size >= 1 << 63:
+        raise OverflowError("FIFO batch spans too long a time to resolve in int64")
+    lift = group * span
+    completion = np.maximum.accumulate(lead - low + lift) - lift + low + before + service
+    last = np.append(starts[1:], n) - 1
+    busy_until[server[last]] = completion[last]
+    return completion
 
 
 class LatencyRecord(NamedTuple):
@@ -274,31 +289,6 @@ class LatencyRecord(NamedTuple):
     service_us: int
     downlink_us: int
     total_us: int
-
-
-def end_to_end_latency(
-    task,
-    device_id: str,
-    server_id: str,
-    topo: Topology,
-    queue: ComputeQueue,
-    policy: str = "",
-) -> LatencyRecord:
-    """Run one task synchronously through uplink, queue, service and downlink.
-
-    Mutates the queue exactly like the event-driven path does, so interleaving
-    calls per server reproduce scenario behaviour.
-    """
-    uplink = topo.transfer_us(device_id, server_id, task.upload_bytes)
-    arrival = task.created_us + uplink
-    service = service_time_us(task.length_mi, queue.capacity_mips)
-    completion, wait = queue.execute(arrival, service)
-    downlink = topo.transfer_us(server_id, device_id, task.download_bytes)
-    total = uplink + wait + service + downlink
-    return LatencyRecord(
-        task.task_id, int(task.kind), task.owner, policy, server_id,
-        task.created_us, uplink, wait, service, downlink, total,
-    )
 
 
 def build_topology(
@@ -341,33 +331,22 @@ def simulate_mm1(arrival_rate_per_ms: float, service_rate_per_ms: float,
                  n_tasks: int, seed: int) -> dict:
     """Drive one FIFO compute queue with Poisson arrivals and exponential service.
 
-    This is the queueing-theory validation harness: arrivals flow through the
-    event engine, service goes through the same ComputeQueue recurrence the
-    scenarios use, and the returned mean wait can be held against the analytic
-    M/M/1 value rho / (mu - lambda).
+    This is the queueing-theory validation harness: n_tasks interarrival
+    gaps and service times come from their own streams, the queue is
+    resolved by the same fifo_completions the scenarios use, and the
+    returned mean wait can be held against the analytic M/M/1 value
+    rho / (mu - lambda).
     """
-    engine = Engine()
     arrivals = RngStream(seed, STREAM_TRANSACTIONS)
     services = RngStream(seed, STREAM_SERVICE)
-    queue = ComputeQueue("mm1", 1)
-    wait_sum = 0
-    served = 0
-
-    def on_arrival(now: int, _payload) -> None:
-        nonlocal wait_sum, served
-        _, wait = queue.execute(now, services.exponential_us(service_rate_per_ms))
-        wait_sum += wait
-        served += 1
-        if served < n_tasks:
-            engine.schedule(now + arrivals.exponential_us(arrival_rate_per_ms),
-                            EV_TASK_ARRIVAL, None)
-
-    engine.on(EV_TASK_ARRIVAL, on_arrival)
-    engine.schedule(arrivals.exponential_us(arrival_rate_per_ms), EV_TASK_ARRIVAL, None)
-    # horizon far beyond the last arrival; the chain stops itself at n_tasks
-    while served < n_tasks:
-        engine.run_until(engine.now + 3_600 * 1_000_000)
-    return {"tasks": served, "mean_wait_us": wait_sum / served}
+    arrival = np.cumsum([arrivals.exponential_us(arrival_rate_per_ms) for _ in range(n_tasks)],
+                        dtype=np.int64)
+    service = np.array([services.exponential_us(service_rate_per_ms) for _ in range(n_tasks)],
+                       dtype=np.int64)
+    completion = fifo_completions(np.zeros(n_tasks, dtype=np.int64), arrival, service,
+                                  np.zeros(1, dtype=np.int64))
+    wait_sum = int((completion - service - arrival).sum())
+    return {"tasks": n_tasks, "mean_wait_us": wait_sum / n_tasks}
 
 
 def build_user_topology(

@@ -14,7 +14,7 @@ from dataclasses import replace
 import pytest
 
 from metafog.config import resolve_config
-from metafog.engine import Engine, RngStream
+from metafog.engine import RngStream
 from metafog.harness import TaskPipeline, run_scenario, sweep
 from metafog.infrastructure import (
     Link,
@@ -184,9 +184,8 @@ def test_criterion_5_hand_trace_oracle():
         Link("dev-1", "fog-0", 2_000, 100),
     ]
     topo = Topology(nodes, links)
-    engine = Engine()
     records = []
-    pipeline = TaskPipeline(engine, topo, Policy.FOG_EDGE, record_sink=records.append)
+    pipeline = TaskPipeline(topo, Policy.FOG_EDGE, record_sink=records.append)
     pipeline.dispatch_task(
         Task(0, TaskKind.SPATIAL_NAVIGATION, 0, 50, 2_000, 1_000, 0), "dev-0", "fog-0")
     pipeline.dispatch_task(
@@ -194,7 +193,7 @@ def test_criterion_5_hand_trace_oracle():
     pipeline.dispatch_task(
         Task(2, TaskKind.SOCIAL_INTERACTION, 0, 30, 1_000, 1_000, 1_000, region=(0, 0)),
         "dev-0")
-    engine.run_until(10_000_000)
+    pipeline.resolve(10_000_000)
 
     expected = {
         0: (2_160, 0, 12_500, 2_080, 16_740),

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from metafog.engine import (
+    EVENT_KIND_NAMES,
     EV_TASK_ARRIVAL,
     Engine,
     RngStream,
@@ -17,7 +18,7 @@ from metafog.errors import ConfigError, EventInPastError
 def collecting_engine():
     engine = Engine()
     seen = []
-    for kind in range(7):
+    for kind in range(len(EVENT_KIND_NAMES)):
         engine.on(kind, lambda now, payload, k=kind: seen.append((now, k, payload)))
     return engine, seen
 

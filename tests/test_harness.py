@@ -4,11 +4,15 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metafog.cli import main as cli_main
 from metafog.config import DEFAULTS, config_digest, load_config, resolve_config
 from metafog.errors import ConfigError
-from metafog.harness import run_scenario, sweep
+from metafog.harness import TaskPipeline, run_scenario, sweep
+from metafog.infrastructure import TierParams, build_topology
+from metafog.workload import Policy
 from metafog.reporting import (
     CSV_HEADER,
     emit,
@@ -141,6 +145,53 @@ class TestRunScenario:
                                 "universe_simulation"}
         total = sum(s.count for k, s in r.stats.items() if k != "overall")
         assert total == r.stats["overall"].count
+
+
+_TASK = st.tuples(
+    st.integers(0, 4_000),  # created
+    st.integers(0, 3),  # server
+    st.integers(0, 500),  # uplink
+    st.integers(1, 1_500),  # service
+    st.integers(0, 500),  # downlink
+    st.booleans(),  # carries a transaction
+)
+
+
+class TestResolve:
+    @settings(max_examples=150, deadline=None)
+    @given(tasks=st.lists(_TASK, max_size=50), cuts=st.lists(st.integers(0, 6_000), max_size=5))
+    def test_windowed_resolve_matches_a_per_task_replay(self, tasks, cuts):
+        tasks = sorted(tasks)  # submitted as generated: in creation order
+        records, validated = [], []
+        pipeline = TaskPipeline(build_topology([(0, 0)], TierParams()), Policy.CLOUD_ONLY,
+                                record_sink=records.append)
+        pipeline.on_validated = lambda at, txs: validated.append((at, txs))
+        submitted = 0
+        for cut in sorted(cuts) + [6_000]:
+            while submitted < len(tasks) and tasks[submitted][0] <= cut:
+                created, server, up, service, down, has_tx = tasks[submitted]
+                pipeline.submit(submitted, 0, 7, server, created, up, service, down,
+                                f"tx{submitted}" if has_tx else None)
+                submitted += 1
+            pipeline.resolve(cut)
+        # replay: FIFO per server in (arrival, submit index) order, one task at a time
+        busy = [0] * 4
+        finished = []
+        for i in sorted(range(len(tasks)), key=lambda i: (tasks[i][0] + tasks[i][2], i)):
+            created, server, up, service, down, _ = tasks[i]
+            arrival = created + up
+            busy[server] = max(arrival, busy[server]) + service
+            finished.append((busy[server] + down, busy[server], arrival, i))
+        finished = sorted(f for f in finished if f[0] <= 6_000)
+        assert [(r.task_id, r.wait_us, r.total_us) for r in records] == [
+            (i, done - tasks[i][3] - arrival, finish - tasks[i][0])
+            for finish, done, arrival, i in finished]
+        groups = {}
+        for finish, _, _, i in finished:
+            if tasks[i][5]:
+                groups.setdefault(finish, []).append(f"tx{i}")
+        assert validated == list(groups.items())
+        assert pipeline.in_flight() == pipeline.unfinished() == len(tasks) - len(finished)
 
 
 class TestSweep:

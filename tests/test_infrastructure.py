@@ -1,11 +1,13 @@
 """Topology validation, transfer arithmetic, FIFO queues, latency records."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metafog.errors import TopologyError
-from metafog.harness import run_scenario
+from metafog.harness import TaskPipeline, run_scenario
 from metafog.infrastructure import (
-    ComputeQueue,
     Link,
     LinkParams,
     NetworkNode,
@@ -13,11 +15,12 @@ from metafog.infrastructure import (
     TierParams,
     Topology,
     build_topology,
-    end_to_end_latency,
+    fifo_completions,
     service_time_us,
+    simulate_mm1,
     transfer_time,
 )
-from metafog.workload import Task, TaskKind
+from metafog.workload import Policy, Task, TaskKind
 
 PARAMS = TierParams(
     fog_mips=4_000,
@@ -159,49 +162,94 @@ class TestTransferTime:
         assert transfer_time(1, [link]) == 1  # 8 bits / 1000 Mbps -> ceil to 1 us
 
 
+def serve(busy_until, arrivals, services, server=0):
+    """(completion, wait) of each task, served in order at one FIFO server."""
+    arrival = np.array(arrivals, dtype=np.int64)
+    service = np.array(services, dtype=np.int64)
+    completion = fifo_completions(np.full(arrival.size, server, dtype=np.int64),
+                                  arrival, service, busy_until)
+    return list(zip(completion.tolist(), (completion - service - arrival).tolist()))
+
+
 class TestComputeQueue:
     def test_idle_service(self):
-        q = ComputeQueue("n", 1_000)
-        completion, wait = q.execute(0, service_time_us(500, 1_000))
-        assert (completion, wait) == (500_000, 0)
+        busy = np.zeros(1, dtype=np.int64)
+        assert serve(busy, [0], [service_time_us(500, 1_000)]) == [(500_000, 0)]
 
     def test_fifo_recurrence(self):
-        q = ComputeQueue("n", 4_000)
         s = service_time_us(20, 4_000)  # 5 ms
-        c1, w1 = q.execute(0, s)
-        c2, w2 = q.execute(1_000, s)
-        assert (c1, w1) == (5_000, 0)
-        assert (c2, w2) == (10_000, 4_000)
+        busy = np.zeros(1, dtype=np.int64)
+        assert serve(busy, [0, 1_000], [s, s]) == [(5_000, 0), (10_000, 4_000)]
 
     def test_arrival_after_busy_until_waits_nothing(self):
-        q = ComputeQueue("n", 1_000)
-        q.execute(0, 5_000)
-        completion, wait = q.execute(9_000, 1_000)
-        assert (completion, wait) == (10_000, 0)
+        busy = np.zeros(1, dtype=np.int64)
+        serve(busy, [0], [5_000])
+        assert serve(busy, [9_000], [1_000]) == [(10_000, 0)]
 
     def test_service_time_rounds_up(self):
         assert service_time_us(1, 3) == 333_334
         assert service_time_us(50, 4_000) == 12_500
 
+    @settings(max_examples=200, deadline=None)
+    @given(tasks=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 10_000),
+                                    st.integers(1, 3_000)), max_size=60),
+           cuts=st.lists(st.integers(0, 10_000), max_size=6))
+    def test_windowed_pass_equals_the_per_task_loop(self, tasks, cuts):
+        # reference: each server serves in (arrival, index) order, one task at a time
+        expected = {}
+        busy = [0] * 4
+        for i in sorted(range(len(tasks)), key=lambda i: (tasks[i][1], i)):
+            server, arrival, service = tasks[i]
+            busy[server] = max(arrival, busy[server]) + service
+            expected[i] = busy[server]
+        # the same tasks resolved window by window, a window being the arrivals up to a cut
+        got = {}
+        busy_until = np.zeros(4, dtype=np.int64)
+        lower = -1
+        for cut in sorted(cuts) + [10_000]:
+            window = sorted((i for i, t in enumerate(tasks) if lower < t[1] <= cut),
+                            key=lambda i: (tasks[i][0], tasks[i][1], i))
+            lower = max(lower, cut)
+            columns = np.array([tasks[i] for i in window], dtype=np.int64).reshape(-1, 3)
+            done = fifo_completions(columns[:, 0], columns[:, 1], columns[:, 2], busy_until)
+            got.update(zip(window, done.tolist()))
+        assert got == expected
+        assert busy_until.tolist() == busy
+
+    def test_batch_too_long_for_int64_is_refused(self):
+        busy = np.zeros(2, dtype=np.int64)
+        with pytest.raises(OverflowError):
+            fifo_completions(np.array([0, 1]), np.array([0, 1 << 62]), np.array([1, 1]), busy)
+
+
+def test_mm1_mean_wait_is_pinned():
+    assert simulate_mm1(0.25, 0.5, 100_000, seed=2024) == \
+        {"tasks": 100_000, "mean_wait_us": 1980.62187}
+
 
 class TestEndToEndLatency:
+    @staticmethod
+    def records(task, device, home_fog=None):
+        records = []
+        pipeline = TaskPipeline(minimal_chain(), Policy.FOG_EDGE, record_sink=records.append)
+        pipeline.dispatch_task(task, device, home_fog)
+        pipeline.resolve(10_000_000)
+        assert len(records) == 1
+        return records[0]
+
     def test_components_sum_exactly(self):
         topo = minimal_chain()
         dev = next(n for n in topo.nodes_by_id if n.startswith("dev"))
         fog = next(n for n in topo.nodes_by_id if n.startswith("fog"))
-        queue = ComputeQueue(fog, topo.node(fog).capacity_mips)
-        task = Task(0, TaskKind.SPATIAL_NAVIGATION, 0, 50, 2_000, 1_000, 0)
-        rec = end_to_end_latency(task, dev, fog, topo, queue)
+        rec = self.records(Task(0, TaskKind.SPATIAL_NAVIGATION, 0, 50, 2_000, 1_000, 0), dev, fog)
+        assert rec.placed_on == fog
         assert rec.total_us == rec.uplink_us + rec.wait_us + rec.service_us + rec.downlink_us
         assert rec.uplink_us == 2_000 + 160
         assert rec.service_us == 12_500
         assert rec.downlink_us == 2_000 + 80
 
     def test_device_local_route_is_wait_plus_service(self):
-        topo = minimal_chain()
-        queue = ComputeQueue("cloud", topo.node("cloud").capacity_mips)
-        task = Task(1, TaskKind.UNIVERSE_SIMULATION, -1, 10_000, 0, 0, 0)
-        rec = end_to_end_latency(task, "cloud", "cloud", topo, queue)
+        rec = self.records(Task(1, TaskKind.UNIVERSE_SIMULATION, -1, 10_000, 0, 0, 0), "cloud")
         assert rec.uplink_us == rec.downlink_us == 0
         assert rec.total_us == rec.wait_us + rec.service_us == 100_000
 
