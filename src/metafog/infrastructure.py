@@ -291,6 +291,13 @@ class LatencyRecord(NamedTuple):
     total_us: int
 
 
+def _link_args(params: TierParams) -> list[tuple[int, int]]:
+    """(propagation_us, bandwidth_mbps) of the device-fog, fog-edge and edge-cloud hops,
+    converted once per topology rather than once per link."""
+    return [(hop.propagation_us, hop.bandwidth_mbps)
+            for hop in (params.device_fog, params.fog_edge, params.edge_cloud)]
+
+
 def build_topology(
     regions: list[tuple[int, int]],
     params: TierParams,
@@ -306,24 +313,22 @@ def build_topology(
     """
     if edges_per_region < 1 or fogs_per_edge < 1 or devices_per_fog < 1:
         raise TopologyError("edges_per_region, fogs_per_edge and devices_per_fog must be >= 1")
+    device_fog, fog_edge, edge_cloud = _link_args(params)
     nodes = [NetworkNode("cloud", Tier.CLOUD_SERVER, params.cloud_mips)]
     links: list[Link] = []
     for rx, ry in regions:
         for k in range(edges_per_region):
             edge_id = f"edge-{rx}-{ry}" if edges_per_region == 1 else f"edge-{rx}-{ry}-{k}"
             nodes.append(NetworkNode(edge_id, Tier.EDGE_SERVER, params.edge_mips, (rx, ry), "cloud"))
-            links.append(Link(edge_id, "cloud", params.edge_cloud.propagation_us,
-                              params.edge_cloud.bandwidth_mbps))
+            links.append(Link(edge_id, "cloud", *edge_cloud))
             for i in range(fogs_per_edge):
                 fog_id = f"fog-{edge_id}-{i}"
                 nodes.append(NetworkNode(fog_id, Tier.FOG_SERVER, params.fog_mips, None, edge_id))
-                links.append(Link(fog_id, edge_id, params.fog_edge.propagation_us,
-                                  params.fog_edge.bandwidth_mbps))
+                links.append(Link(fog_id, edge_id, *fog_edge))
                 for j in range(devices_per_fog):
                     dev_id = f"dev-{fog_id}-{j}"
                     nodes.append(NetworkNode(dev_id, Tier.END_DEVICE, params.device_mips, None, fog_id))
-                    links.append(Link(dev_id, fog_id, params.device_fog.propagation_us,
-                                      params.device_fog.bandwidth_mbps))
+                    links.append(Link(dev_id, fog_id, *device_fog))
     return Topology(nodes, links)
 
 
@@ -368,6 +373,7 @@ def build_user_topology(
     """
     if devices_per_fog < 1 or edges_per_region < 1:
         raise TopologyError("devices_per_fog and edges_per_region must be >= 1")
+    device_fog, fog_edge, edge_cloud = _link_args(params)
     nodes = [NetworkNode("cloud", Tier.CLOUD_SERVER, params.cloud_mips)]
     links: list[Link] = []
     edge_ids: dict[tuple[int, int], list[str]] = {}
@@ -376,8 +382,7 @@ def build_user_topology(
         for k in range(edges_per_region):
             edge_id = f"edge-{rx}-{ry}" if edges_per_region == 1 else f"edge-{rx}-{ry}-{k}"
             nodes.append(NetworkNode(edge_id, Tier.EDGE_SERVER, params.edge_mips, (rx, ry), "cloud"))
-            links.append(Link(edge_id, "cloud", params.edge_cloud.propagation_us,
-                              params.edge_cloud.bandwidth_mbps))
+            links.append(Link(edge_id, "cloud", *edge_cloud))
             ids.append(edge_id)
         edge_ids[(rx, ry)] = ids
 
@@ -395,13 +400,11 @@ def build_user_topology(
             fog_id = f"fog-{region[0]}-{region[1]}-{i}"
             parent_edge = edges[i % len(edges)]
             nodes.append(NetworkNode(fog_id, Tier.FOG_SERVER, params.fog_mips, None, parent_edge))
-            links.append(Link(fog_id, parent_edge, params.fog_edge.propagation_us,
-                              params.fog_edge.bandwidth_mbps))
+            links.append(Link(fog_id, parent_edge, *fog_edge))
             for user in members[i * devices_per_fog:(i + 1) * devices_per_fog]:
                 dev_id = f"dev-{user}"
                 nodes.append(NetworkNode(dev_id, Tier.END_DEVICE, params.device_mips, None, fog_id))
-                links.append(Link(dev_id, fog_id, params.device_fog.propagation_us,
-                                  params.device_fog.bandwidth_mbps))
+                links.append(Link(dev_id, fog_id, *device_fog))
                 device_of_user[user] = dev_id
                 fog_of_user[user] = fog_id
     return Topology(nodes, links), device_of_user, fog_of_user
