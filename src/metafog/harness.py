@@ -111,7 +111,7 @@ class TaskPipeline:
         "node_index", "node_ids", "capacities", "busy_until",
         "totals", "generated", "completed",
         "records_emitted", "tasks_generated",
-        "_buffer", "_held", "_buckets", "_txs",
+        "_buffer", "_held", "_buckets", "_txs", "_shared",
     )
 
     def __init__(self, topo: infra.Topology, policy: Policy,
@@ -135,6 +135,7 @@ class TaskPipeline:
         self._held = np.empty((0, _SUBMITTED), dtype=np.int64)  # submitted, not yet arrived
         self._buckets: dict[int, list[np.ndarray]] = {}  # served, by finish // WINDOW_US
         self._txs: dict[int, Transaction] = {}  # by submit index, until validated
+        self._shared: dict[int, int] = {}  # one int object per repeated record field value
 
     def submit(self, task_id: int, kind: int, owner: int, server_idx: int,
                created_us: int, uplink_us: int, service_us: int, downlink_us: int,
@@ -229,12 +230,16 @@ class TaskPipeline:
         sink = self.record_sink
         policy = self.policy.value
         node_ids = self.node_ids
+        # A sink may keep every record. Owners, transfer and service times
+        # take few distinct values, so records share one int object per value.
+        share = self._shared.setdefault
         wait = rows[:, _DONE] - rows[:, _SERVICE] - rows[:, _CREATED] - rows[:, _UP]
         total = rows[:, _FINISH] - rows[:, _CREATED]
         for (tid, kind, owner, server, created, up, service, down), w, t in zip(
                 rows[:, _TID:_DONE].tolist(), wait.tolist(), total.tolist()):
-            sink(LatencyRecord(tid, kind, owner, policy, node_ids[server],
-                               created, up, w, service, down, t))
+            sink(LatencyRecord(tid, kind, share(owner, owner), policy, node_ids[server],
+                               created, share(up, up), w, share(service, service),
+                               share(down, down), t))
 
     def _validate(self, rows: np.ndarray) -> None:
         """Hand the emitted transactions over, grouped by equal finish time."""
