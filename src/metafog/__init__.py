@@ -22,6 +22,7 @@ from .errors import (
     CausalityError,
     ConfigError,
     EventInPastError,
+    ScenarioError,
     SimulationError,
     TopologyError,
 )
@@ -57,7 +58,7 @@ from .reporting import (
     write_results_csv,
 )
 from .stats import latency_reduction, percentile
-from .workload import KIND_LABELS, Policy, Task, TaskKind, TaskProfile, place
+from .workload import KIND_LABELS, Placement, Policy, TaskKind, place
 from .world import Avatar, World, WorldGrid, movement_tick, region_of
 
 __version__ = "0.1.0"

@@ -19,3 +19,7 @@ class EventInPastError(SimulationError):
 
 class CausalityError(SimulationError):
     """Events were dispatched out of (fire_at, seq) order."""
+
+
+class ScenarioError(SimulationError):
+    """A scenario of a sweep failed; names its swept value, replication and seed."""

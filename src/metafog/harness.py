@@ -1,17 +1,18 @@
 """Experiment driver: scenario assembly, execution, aggregation and sweeps.
 
 A scenario wires the engine, world, topology, workload generators and ledger
-together for one (config, policy, seed) triple and runs to the horizon in two
-phases. The event loop only generates work: movement ticks, messages,
-transactions and universe tasks, each placed and submitted as a task. Links
-have no contention and no task outcome feeds back into generation, so the
-queues are resolved apart from the loop: once per simulated second, every
-task that has reached its server is served FIFO by Lindley's recurrence, and
-every task whose downlink has landed back at the device is emitted, in the
-order of its finish time, to the latency statistics, the record sink and the
-ledger. Sweeps run one independent scenario per (value, policy, replication)
-and order results deterministically, so serial and parallel execution
-produce identical output.
+together for one (config, seed) pair and runs to the horizon in two phases.
+The event loop only generates work: movement ticks, messages, transactions
+and universe tasks, each submitted as a task. Links have no contention and
+no task outcome feeds back into generation, so the queues are resolved apart
+from the loop: once per simulated second, the new tasks are placed by table
+lookup, every task that has reached its server is served FIFO by Lindley's
+recurrence, and every task whose downlink has landed back at the device is
+emitted, in the order of its finish time, to the latency statistics, the
+record sink and the ledger. The loop does not depend on the policy, so one
+generation feeds every policy of the run. Sweeps run one generation per
+(value, replication) for both policies and order results deterministically,
+so serial and parallel execution produce identical output.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import json
 from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -36,23 +38,14 @@ from .engine import (
     RngStream,
     STREAM_MESSAGING,
     STREAM_MOVEMENT,
-    STREAM_SERVICE,
     STREAM_TRANSACTIONS,
-    ceil_div,
     ms_to_us,
 )
-from .errors import ConfigError
+from .errors import ConfigError, ScenarioError
 from .infrastructure import LatencyRecord, TierParams, LinkParams
 from .ledger import Chain, Transaction, validate_transaction
 from .stats import percentile
-from .workload import (
-    KIND_LABELS,
-    Policy,
-    SYSTEM_OWNER,
-    Task,
-    TaskKind,
-    place,
-)
+from .workload import KIND_LABELS, SYSTEM_OWNER, Placement, Policy, TaskKind
 from .world import World, WorldGrid
 
 
@@ -87,79 +80,68 @@ class ScenarioResult:
 # The run resolves the queues once per window of simulated time.
 WINDOW_US = US_PER_S
 
-# Columns of a task row: the fields submit() buffers, then the completion and
-# finish times the resolve pass adds. IDX is the submit index, which breaks
-# ties in FIFO and emission order.
-(_IDX, _TID, _KIND, _OWNER, _SERVER, _CREATED, _UP, _SERVICE, _DOWN,
- _DONE, _FINISH) = range(11)
-_SUBMITTED = _DONE
+# Columns of a submitted task: its policy-free fields. IDX is the submit
+# index, which breaks ties in FIFO and emission order; REGION indexes the
+# world grid's regions, the owner's at creation.
+_IDX, _TID, _KIND, _OWNER, _CREATED, _REGION, _CANDIDATES = range(7)
+_SUBMITTED = 7
+# Columns of a placed task: the submitted fields up to CREATED, the server
+# and times of its placement, then the completion and finish times that the
+# resolve pass adds.
+_SERVER, _UP, _SERVICE, _DOWN, _DONE, _FINISH = range(5, 11)
+_PLACED = _DONE
 
 
 class TaskPipeline:
-    """Queues placed tasks FIFO at their servers and records their latency.
+    """Places tasks under one policy, queues them FIFO and records their latency.
 
-    submit() buffers a task. resolve(cutoff) serves every buffered task that
-    reaches its server by the cutoff and emits, in (finish, completion,
-    arrival, submit index) order, every task whose downlink lands by it; that
-    is the order in which a per-task event loop would finish them. Served
-    tasks wait for emission in buckets keyed by finish window, so a long
-    backlog is never rescanned.
+    submit() buffers a task's policy-free fields. resolve(cutoff) places the
+    tasks submitted since the last call, here and in each of peers: the
+    pipelines that see the same submissions under other placements. Each
+    then serves every placed task that reaches its server by the cutoff and
+    emits, in (finish, completion, arrival, submit index) order, every task
+    whose downlink lands by it; that is the order in which a per-task event
+    loop would finish them. Served tasks wait for emission in buckets keyed
+    by finish window, so a long backlog is never rescanned.
     """
 
     __slots__ = (
-        "topo", "policy", "warmup_us", "record_sink", "on_validated",
-        "node_index", "node_ids", "capacities", "busy_until",
-        "totals", "generated", "completed",
+        "placement", "warmup_us", "record_sink", "on_validated", "peers",
+        "busy_until", "totals", "generated", "completed",
         "records_emitted", "tasks_generated",
-        "_buffer", "_held", "_buckets", "_txs", "_shared",
+        "_submitted", "_buffer", "_new_txs", "_held", "_buckets", "_txs", "_shared",
     )
 
-    def __init__(self, topo: infra.Topology, policy: Policy,
-                 warmup_us: int = 0, record_sink: Callable | None = None):
-        self.topo = topo
-        self.policy = policy
+    def __init__(self, placement: Placement, warmup_us: int = 0,
+                 record_sink: Callable | None = None):
+        self.placement = placement
         self.warmup_us = warmup_us
         self.record_sink = record_sink
         # set by the runner: called (finish_us, txs) per finish time, in emission order
         self.on_validated = None
-        self.node_ids = sorted(topo.nodes_by_id)
-        self.node_index = {nid: i for i, nid in enumerate(self.node_ids)}
-        self.capacities = [topo.nodes_by_id[nid].capacity_mips for nid in self.node_ids]
-        self.busy_until = np.zeros(len(self.node_ids), dtype=np.int64)
+        self.peers: list[TaskPipeline] = []
+        self.busy_until = np.zeros(len(placement.node_ids), dtype=np.int64)
         self.totals: list[list[np.ndarray]] = [[] for _ in TaskKind]  # post-warm-up latencies
         self.generated = [0] * len(TaskKind)
         self.completed = [0] * len(TaskKind)
         self.records_emitted = 0
-        self.tasks_generated = 0
+        self.tasks_generated = 0  # taken in by resolve
+        self._submitted = 0
         self._buffer = array("q")  # submitted since the last resolve, _SUBMITTED fields each
-        self._held = np.empty((0, _SUBMITTED), dtype=np.int64)  # submitted, not yet arrived
+        self._new_txs: dict[int, Transaction] = {}  # the same, by submit index
+        self._held = np.empty((0, _PLACED), dtype=np.int64)  # placed, not yet arrived
         self._buckets: dict[int, list[np.ndarray]] = {}  # served, by finish // WINDOW_US
         self._txs: dict[int, Transaction] = {}  # by submit index, until validated
         self._shared: dict[int, int] = {}  # one int object per repeated record field value
 
-    def submit(self, task_id: int, kind: int, owner: int, server_idx: int,
-               created_us: int, uplink_us: int, service_us: int, downlink_us: int,
-               tx: Transaction | None = None) -> None:
-        """Buffer a placed task: the uplink transfer starts at created_us."""
-        index = self.tasks_generated
-        self.tasks_generated = index + 1
-        self.generated[kind] += 1
-        self._buffer.extend((index, task_id, kind, owner, server_idx, created_us,
-                             uplink_us, service_us, downlink_us))
+    def submit(self, task_id: int, kind: int, owner: int, created_us: int,
+               region: int = 0, candidates: int = 0, tx: Transaction | None = None) -> None:
+        """Buffer a generated task: its uplink starts at created_us."""
+        index = self._submitted
+        self._submitted = index + 1
+        self._buffer.extend((index, task_id, kind, owner, created_us, region, candidates))
         if tx is not None:
-            self._txs[index] = tx
-
-    def dispatch_task(self, task: Task, device_id: str, home_fog: str | None = None,
-                      tx: Transaction | None = None) -> str:
-        """Place and submit a fully described task; returns the serving node id."""
-        server = place(task, self.policy, self.topo, home_fog)
-        sidx = self.node_index[server]
-        uplink = self.topo.transfer_us(device_id, server, task.upload_bytes)
-        downlink = self.topo.transfer_us(server, device_id, task.download_bytes)
-        service = infra.service_time_us(task.length_mi, self.capacities[sidx])
-        self.submit(task.task_id, int(task.kind), task.owner, sidx,
-                    task.created_us, uplink, service, downlink, tx)
-        return server
+            self._new_txs[index] = tx
 
     def resolve(self, cutoff_us: int) -> None:
         """Serve the tasks that arrive by cutoff_us; emit those that finish by it.
@@ -168,20 +150,30 @@ class TaskPipeline:
         submitted. A server's future depends on its past only through
         busy_until, so calls with increasing cutoffs compose exactly.
         """
-        self._serve(cutoff_us)
-        for key in sorted(k for k in self._buckets if k <= cutoff_us // WINDOW_US):
-            rows = np.concatenate(self._buckets.pop(key))
-            late = rows[:, _FINISH] > cutoff_us
-            if late.any():
-                self._buckets[key] = [rows[late]]
-                rows = rows[~late]
-            self._emit(rows)
+        submitted = np.frombuffer(self._buffer, dtype=np.int64).reshape(-1, _SUBMITTED)
+        self._buffer = array("q")
+        txs, self._new_txs = self._new_txs, {}
+        for pipeline in (self, *self.peers):
+            pipeline._take(submitted, txs)
+            pipeline._serve(cutoff_us)
+            pipeline._emit_due(cutoff_us)
+
+    def _take(self, submitted: np.ndarray, txs: dict[int, Transaction]) -> None:
+        kind = submitted[:, _KIND]
+        self.tasks_generated += len(submitted)
+        for k, n in enumerate(np.bincount(kind, minlength=len(TaskKind)).tolist()):
+            self.generated[k] += n
+        self._txs.update(txs)
+        placed = np.empty((len(submitted), _PLACED), dtype=np.int64)
+        placed[:, :_SERVER] = submitted[:, :_SERVER]
+        placed[:, _SERVER], placed[:, _UP], placed[:, _SERVICE], placed[:, _DOWN] = \
+            self.placement.apply(kind, submitted[:, _OWNER], submitted[:, _REGION],
+                                 submitted[:, _CANDIDATES])
+        self._held = np.concatenate((self._held, placed))
 
     def _serve(self, cutoff_us: int) -> None:
         # Work on index arrays and columns: each copy of whole rows adds to peak memory.
-        rows = np.concatenate((
-            self._held, np.frombuffer(self._buffer, dtype=np.int64).reshape(-1, _SUBMITTED)))
-        self._buffer = array("q")
+        rows = self._held
         arrival = rows[:, _CREATED] + rows[:, _UP]
         ready = arrival <= cutoff_us
         self._held = rows[~ready]
@@ -197,13 +189,22 @@ class TaskPipeline:
         key = finish // WINDOW_US
         order = np.argsort(key, kind="stable")
         served = np.empty((take.size, _FINISH + 1), dtype=np.int64)
-        served[:, :_SUBMITTED] = rows[take[order]]
+        served[:, :_PLACED] = rows[take[order]]
         served[:, _DONE] = done[order]
         served[:, _FINISH] = finish[order]
         key = key[order]
         bounds = np.flatnonzero(key[1:] != key[:-1]) + 1
         for part, k in zip(np.split(served, bounds), key[np.append(0, bounds)].tolist()):
             self._buckets.setdefault(k, []).append(part)
+
+    def _emit_due(self, cutoff_us: int) -> None:
+        for key in sorted(k for k in self._buckets if k <= cutoff_us // WINDOW_US):
+            rows = np.concatenate(self._buckets.pop(key))
+            late = rows[:, _FINISH] > cutoff_us
+            if late.any():
+                self._buckets[key] = [rows[late]]
+                rows = rows[~late]
+            self._emit(rows)
 
     def _emit(self, rows: np.ndarray) -> None:
         """Count emitted tasks into the statistics; records and transactions go in order."""
@@ -221,21 +222,19 @@ class TaskPipeline:
         if self.record_sink is not None:
             self._record(_in_finish_order(rows))
         if self._txs and self.on_validated is not None:
-            # dict order is submit order, so the keys come sorted
-            keys = np.fromiter(self._txs, dtype=np.int64, count=len(self._txs))
-            at = np.searchsorted(keys, rows[:, _IDX]).clip(max=keys.size - 1)
-            self._validate(_in_finish_order(rows[keys[at] == rows[:, _IDX]]))
+            pending = np.fromiter(self._txs, dtype=np.int64, count=len(self._txs))
+            self._validate(_in_finish_order(rows[np.isin(rows[:, _IDX], pending)]))
 
     def _record(self, rows: np.ndarray) -> None:
         sink = self.record_sink
-        policy = self.policy.value
-        node_ids = self.node_ids
+        policy = self.placement.policy.value
+        node_ids = self.placement.node_ids
         # A sink may keep every record. Owners, transfer and service times
         # take few distinct values, so records share one int object per value.
         share = self._shared.setdefault
         wait = rows[:, _DONE] - rows[:, _SERVICE] - rows[:, _CREATED] - rows[:, _UP]
         total = rows[:, _FINISH] - rows[:, _CREATED]
-        for (tid, kind, owner, server, created, up, service, down), w, t in zip(
+        for (tid, kind, owner, created, server, up, service, down), w, t in zip(
                 rows[:, _TID:_DONE].tolist(), wait.tolist(), total.tolist()):
             sink(LatencyRecord(tid, kind, share(owner, owner), policy, node_ids[server],
                                created, share(up, up), w, share(service, service),
@@ -259,9 +258,9 @@ class TaskPipeline:
         return self.tasks_generated - self.records_emitted
 
     def unfinished(self) -> int:
-        """Independent in-flight count: tasks buffered, held or served but not emitted."""
-        return (len(self._buffer) // _SUBMITTED + len(self._held)
-                + sum(len(part) for parts in self._buckets.values() for part in parts))
+        """Independent in-flight count: tasks taken in, held or served, but not emitted."""
+        return len(self._held) + sum(len(part) for parts in self._buckets.values()
+                                     for part in parts)
 
 
 def _in_finish_order(rows: np.ndarray) -> np.ndarray:
@@ -272,26 +271,25 @@ def _in_finish_order(rows: np.ndarray) -> np.ndarray:
 
 
 def _tier_params(cfg: dict) -> TierParams:
-    topo_cfg = cfg["topology"]
-    links = topo_cfg["links"]
-    return TierParams(
-        device_mips=topo_cfg["device_mips"],
-        fog_mips=topo_cfg["fog_mips"],
-        edge_mips=topo_cfg["edge_mips"],
-        cloud_mips=topo_cfg["cloud_mips"],
-        device_fog=LinkParams(**links["device_fog"]),
-        fog_edge=LinkParams(**links["fog_edge"]),
-        edge_cloud=LinkParams(**links["edge_cloud"]),
-    )
+    topo = cfg["topology"]
+    return TierParams(topo["device_mips"], topo["fog_mips"], topo["edge_mips"], topo["cloud_mips"],
+                      *(LinkParams(**topo["links"][hop])
+                        for hop in ("device_fog", "fog_edge", "edge_cloud")))
 
 
 class ScenarioRunner:
-    """One simulation run: builds world, topology and workload, then executes."""
+    """One simulation run: builds world, topology and workload, then executes.
 
-    def __init__(self, cfg: dict, policy: Policy, seed: int,
+    policy may be a tuple of policies. The run then generates the workload
+    once and resolves it under each, with a TaskPipeline and a Chain per
+    policy, so that every policy sees the same avatars, messages and
+    transactions. pipeline and chain are those of the first policy.
+    """
+
+    def __init__(self, cfg: dict, policy: Policy | tuple[Policy, ...], seed: int,
                  record_sink: Callable | None = None):
         self.cfg = cfg
-        self.policy = policy
+        self.policies = policy if isinstance(policy, tuple) else (policy,)
         self.seed = seed
 
         world_cfg = cfg["world"]
@@ -306,7 +304,7 @@ class ScenarioRunner:
 
         self.streams = {
             name: RngStream(seed, name)
-            for name in (STREAM_MOVEMENT, STREAM_MESSAGING, STREAM_TRANSACTIONS, STREAM_SERVICE)
+            for name in (STREAM_MOVEMENT, STREAM_MESSAGING, STREAM_TRANSACTIONS)
         }
 
         self.grid = WorldGrid(world_cfg["width"], world_cfg["height"],
@@ -327,10 +325,18 @@ class ScenarioRunner:
             avatar.home_fog = fogs[user]
 
         self.engine = Engine()
-        self.pipeline = TaskPipeline(topo, policy, self.warmup_us, record_sink)
-        self.pipeline.on_validated = self._tx_validated
+        self.pipelines: dict[Policy, TaskPipeline] = {}
+        self.chains: dict[Policy, Chain] = {}
+        for pol in self.policies:
+            placement = Placement(pol, topo, wl["profiles"], devices, fogs,
+                                  self.grid.all_regions())
+            pipeline = self.pipelines[pol] = TaskPipeline(placement, self.warmup_us, record_sink)
+            chain = self.chains[pol] = Chain()
+            pipeline.on_validated = partial(self._tx_validated, chain)
+        self.pipeline, *peers = self.pipelines.values()
+        self.pipeline.peers = peers
+        self.chain = self.chains[self.policies[0]]
 
-        self.chain = Chain()
         self.batch_size = cfg["ledger"]["batch_size"]
         self.tx_amount_max = cfg["ledger"]["tx_amount_max"]
         self.messages_sent = 0
@@ -338,65 +344,15 @@ class ScenarioRunner:
         self.tx_submitted = 0
         self._next_task_id = 0
         self._next_asset_id = 0
+        self._regions_y = world_cfg["regions_y"]
+        self._universe_period_us = ms_to_us(wl["profiles"]["universe_simulation"]["period_ms"])
+        self._msg_rate_per_ms = wl["message_rate_per_user_per_s"] / 1000.0
+        self._tx_rate_per_ms = wl["tx_rate_per_user_per_s"] / 1000.0
 
-        self._precompute()
         self._register_handlers()
         self._prime_events()
 
     # -- setup ------------------------------------------------------------
-
-    def _precompute(self) -> None:
-        """Resolve per-user servers, transfer times and service times up front.
-
-        Navigation and collision tasks always go to the same node for a given
-        user and policy, so the movement-tick handler only does integer work.
-        """
-        wl = self.cfg["workload"]
-        profiles = wl["profiles"]
-        topo = self.topo
-        index = self.pipeline.node_index
-        caps = self.pipeline.capacities
-        cloud_idx = index[topo.cloud_id]
-
-        nav = profiles["spatial_navigation"]
-        coll = profiles["collision_detection"]
-        self._nav_len = nav["length_mi"]
-        self._coll_base_num = coll["base_length_mi"] * 1_000_000
-        self._coll_per_num = coll["per_neighbor_mi"] * 1_000_000
-
-        # Navigation and collision tasks of a user always land on the same
-        # node, so resolve that node through place() once and cache the rest.
-        self._nav_server = [0] * self.n_users
-        self._nav_service = [0] * self.n_users
-        self._nav_up = [0] * self.n_users
-        self._nav_down = [0] * self.n_users
-        self._coll_up = [0] * self.n_users
-        self._coll_down = [0] * self.n_users
-        for u in range(self.n_users):
-            dev = self.device_of_user[u]
-            probe = Task(-1, TaskKind.SPATIAL_NAVIGATION, u, nav["length_mi"],
-                         nav["upload_bytes"], nav["download_bytes"], 0)
-            server = place(probe, self.policy, topo, self.home_fog_of_user[u])
-            sidx = index[server]
-            self._nav_server[u] = sidx
-            self._nav_service[u] = infra.service_time_us(nav["length_mi"], caps[sidx])
-            self._nav_up[u] = topo.transfer_us(dev, server, nav["upload_bytes"])
-            self._nav_down[u] = topo.transfer_us(server, dev, nav["download_bytes"])
-            self._coll_up[u] = topo.transfer_us(dev, server, coll["upload_bytes"])
-            self._coll_down[u] = topo.transfer_us(server, dev, coll["download_bytes"])
-
-        social = profiles["social_interaction"]
-        txv = profiles["transaction_validation"]
-        self._social_profile = (social["length_mi"], social["upload_bytes"], social["download_bytes"])
-        self._txv_profile = (txv["length_mi"], txv["upload_bytes"], txv["download_bytes"])
-
-        uni = profiles["universe_simulation"]
-        self._universe_period_us = ms_to_us(uni["period_ms"])
-        self._universe_profile = (uni["length_mi"], uni["upload_bytes"], uni["download_bytes"])
-        self._cloud_idx = cloud_idx
-
-        self._msg_rate_per_ms = wl["message_rate_per_user_per_s"] / 1000.0
-        self._tx_rate_per_ms = wl["tx_rate_per_user_per_s"] / 1000.0
 
     def _register_handlers(self) -> None:
         eng = self.engine
@@ -429,17 +385,11 @@ class ScenarioRunner:
     def _on_movement_tick(self, now: int, user: int) -> None:
         world = self.world
         world.tick_avatar(user, self.dt_s)
-        candidates = world.collision_candidates(user)
         pipeline = self.pipeline
         tid = self._next_task_id
         self._next_task_id = tid + 2
-        sidx = self._nav_server[user]
-        pipeline.submit(tid, 0, user, sidx, now,
-                        self._nav_up[user], self._nav_service[user], self._nav_down[user])
-        coll_service = ceil_div(self._coll_base_num + self._coll_per_num * candidates,
-                                pipeline.capacities[sidx])
-        pipeline.submit(tid + 1, 1, user, sidx, now,
-                        self._coll_up[user], coll_service, self._coll_down[user])
+        pipeline.submit(tid, 0, user, now)
+        pipeline.submit(tid + 1, 1, user, now, 0, world.collision_candidates(user))
         self.engine.schedule(now + self.tick_us, EV_MOVEMENT_TICK, user)
 
     def _on_message_send(self, now: int, user: int) -> None:
@@ -448,9 +398,7 @@ class ScenarioRunner:
         if neighbors:
             stream.randrange(len(neighbors))  # pick the recipient
             self.messages_sent += 1
-            length, up_bytes, down_bytes = self._social_profile
-            self._submit_region_task(TaskKind.SOCIAL_INTERACTION, user, now,
-                                     length, up_bytes, down_bytes)
+            self._submit_region_task(TaskKind.SOCIAL_INTERACTION, user, now)
         else:
             self.messages_skipped += 1
         self.engine.schedule(now + stream.exponential_us(self._msg_rate_per_ms),
@@ -466,34 +414,26 @@ class ScenarioRunner:
         self._next_asset_id += 1
         self.tx_submitted += 1
         validate_transaction(tx)
-        length, up_bytes, down_bytes = self._txv_profile
-        self._submit_region_task(TaskKind.TRANSACTION_VALIDATION, user, now,
-                                 length, up_bytes, down_bytes, tx)
+        self._submit_region_task(TaskKind.TRANSACTION_VALIDATION, user, now, tx)
         self.engine.schedule(now + stream.exponential_us(self._tx_rate_per_ms),
                              EV_TX_SUBMIT, user)
 
     def _submit_region_task(self, kind: TaskKind, user: int, now: int,
-                            length_mi: int, up_bytes: int, down_bytes: int,
                             tx: Transaction | None = None) -> None:
         tid = self._next_task_id
         self._next_task_id = tid + 1
-        task = Task(tid, kind, user, length_mi, up_bytes, down_bytes, now,
-                    region=self.world.avatars[user].region)
-        self.pipeline.dispatch_task(task, self.device_of_user[user], tx=tx)
+        rx, ry = self.world.avatars[user].region
+        self.pipeline.submit(tid, kind, user, now, rx * self._regions_y + ry, 0, tx)
 
     def _on_task_arrival(self, now: int, payload) -> None:
         # periodic universe-simulation task, originating at the cloud itself
         tid = self._next_task_id
         self._next_task_id = tid + 1
-        length, up_bytes, down_bytes = self._universe_profile
-        task = Task(tid, TaskKind.UNIVERSE_SIMULATION, SYSTEM_OWNER,
-                    length, up_bytes, down_bytes, now)
-        self.pipeline.dispatch_task(task, self.topo.cloud_id)
+        self.pipeline.submit(tid, TaskKind.UNIVERSE_SIMULATION, SYSTEM_OWNER, now)
         self.engine.schedule(now + self._universe_period_us, EV_TASK_ARRIVAL, None)
 
-    def _tx_validated(self, now: int, txs: list[Transaction]) -> None:
+    def _tx_validated(self, chain: Chain, now: int, txs: list[Transaction]) -> None:
         """Validate the transactions that finish at `now`, then form every full block."""
-        chain = self.chain
         for tx in txs:
             chain.add_validated(tx)
         while chain.form_block(self.batch_size, now) is not None:
@@ -510,10 +450,15 @@ class ScenarioRunner:
             pipeline.resolve(cutoff)
         engine.run_until(self.horizon_us)
         pipeline.resolve(self.horizon_us)
-        self.chain.flush(self.horizon_us)
+        for chain in self.chains.values():
+            chain.flush(self.horizon_us)
 
-    def collect(self, scenario_id: str, param: str, value, replication: int) -> ScenarioResult:
-        pipeline = self.pipeline
+    def collect(self, scenario_id: str, param: str, value, replication: int,
+                policy: Policy | None = None) -> ScenarioResult:
+        """The result under one policy; by default the first."""
+        policy = self.policies[0] if policy is None else policy
+        pipeline = self.pipelines[policy]
+        chain = self.chains[policy]
         unfinished = pipeline.unfinished()
         in_flight = pipeline.in_flight()
         if unfinished != in_flight:
@@ -535,9 +480,9 @@ class ScenarioRunner:
             "messages_sent": self.messages_sent,
             "messages_skipped_no_neighbor": self.messages_skipped,
             "tx_submitted": self.tx_submitted,
-            "blocks_formed": len(self.chain.blocks),
-            "chain_tx_count": sum(len(b.txs) for b in self.chain.blocks),
-            "chain_valid": self.chain.verify(),
+            "blocks_formed": len(chain.blocks),
+            "chain_tx_count": sum(len(b.txs) for b in chain.blocks),
+            "chain_valid": chain.verify(),
             "events_scheduled": self.engine.scheduled_count,
             "events_dispatched": self.engine.dispatched_count,
             "horizon_ms": self.cfg["experiment"]["horizon_ms"],
@@ -546,7 +491,7 @@ class ScenarioRunner:
         }
         return ScenarioResult(
             scenario_id=scenario_id,
-            policy=self.policy.value,
+            policy=policy.value,
             param=param,
             value=value,
             replication=replication,
@@ -582,15 +527,22 @@ def run_scenario(config: dict | None, policy: Policy | str, seed: int, *,
     """
     cfg = resolve_config(config)
     pol = Policy.parse(policy) if isinstance(policy, str) else policy
-    runner = ScenarioRunner(cfg, pol, seed, record_sink)
-    runner.run()
     if value is None:
         value = cfg["workload"]["user_count"]
-    scenario_id = f"{param}={_fmt_value(value)}/{pol.value}/rep{replication}"
-    return runner.collect(scenario_id, param, value, replication)
+    return _run_policies(cfg, (pol,), seed, param, value, replication, record_sink)[0]
 
 
-def _fmt_value(value) -> str:
+def _run_policies(cfg: dict, policies: tuple[Policy, ...], seed: int, param: str, value,
+                  replication: int, record_sink: Callable | None = None) -> list[ScenarioResult]:
+    """Generate one scenario once; its result under each policy, in the order given."""
+    runner = ScenarioRunner(cfg, policies, seed, record_sink)
+    runner.run()
+    return [runner.collect(f"{param}={value_label(value)}/{pol.value}/rep{replication}",
+                           param, value, replication, pol) for pol in policies]
+
+
+def value_label(value) -> str:
+    """A swept value as scenario ids and outputs print it: integral floats without '.0'."""
     if isinstance(value, float) and value.is_integer():
         return str(int(value))
     return str(value)
@@ -614,10 +566,17 @@ def _scenario_overrides(cfg: dict, param: str, value) -> dict:
     return scenario_cfg
 
 
-def _sweep_worker(args: tuple) -> ScenarioResult:
-    scenario_cfg, policy_value, seed, param, value, replication = args
-    return run_scenario(scenario_cfg, Policy(policy_value), seed,
-                        param=param, value=value, replication=replication)
+def _sweep_worker(job: tuple) -> list[ScenarioResult]:
+    """One (value, replication) of a sweep under both policies; a failure names it."""
+    scenario_cfg, seed, param, value, replication = job
+    try:
+        return _run_policies(resolve_config(scenario_cfg), (Policy.CLOUD_ONLY, Policy.FOG_EDGE),
+                             seed, param, value, replication)
+    except Exception as exc:
+        where = f"sweep scenario {param}={value_label(value)} rep{replication} (seed {seed})"
+        if isinstance(exc, ConfigError):
+            raise type(exc)(f"{where}: {exc}") from exc
+        raise ScenarioError(f"{where} failed: {type(exc).__name__}: {exc}") from exc
 
 
 def sweep(config: dict | None, param: str, values: list | None = None,
@@ -625,9 +584,12 @@ def sweep(config: dict | None, param: str, values: list | None = None,
           max_workers: int | None = None) -> list[ScenarioResult]:
     """Run both policies over every swept value, replications times each.
 
-    Scenario seeds are base_seed + replication index. Results are ordered by
-    (value, policy, replication) no matter how execution was scheduled, and a
-    parallel run returns exactly what a serial run returns.
+    Each (value, replication) is generated once and resolved under both
+    policies. Scenario seeds are base_seed + replication index. Results are
+    ordered by (value, policy, replication) no matter how execution was
+    scheduled, and a parallel run returns exactly what a serial run returns.
+    A scenario that fails raises an error naming its value, replication and
+    seed; a ConfigError stays a ConfigError.
     """
     cfg = resolve_config(config)
     exp = cfg["experiment"]
@@ -640,18 +602,13 @@ def sweep(config: dict | None, param: str, values: list | None = None,
     if replications < 1:
         raise ConfigError("replications must be >= 1")
 
-    jobs = []
-    for value in values:
-        scenario_cfg = _scenario_overrides(cfg, param, value)
-        for policy in (Policy.CLOUD_ONLY, Policy.FOG_EDGE):
-            for rep in range(replications):
-                jobs.append((scenario_cfg, policy.value, exp["base_seed"] + rep,
-                             param, value, rep))
-
+    jobs = [(_scenario_overrides(cfg, param, value), exp["base_seed"] + rep, param, value, rep)
+            for value in values for rep in range(replications)]
     if parallel:
         with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(_sweep_worker, jobs))
+            per_job = list(pool.map(_sweep_worker, jobs))
     else:
-        results = [_sweep_worker(job) for job in jobs]
+        per_job = [_sweep_worker(job) for job in jobs]
+    results = [result for pair in per_job for result in pair]
     results.sort(key=lambda r: (r.value, r.policy, r.replication))
     return results

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from enum import IntEnum
 from typing import NamedTuple
 
-import math
-
 import numpy as np
 
 from .engine import (
@@ -157,6 +155,9 @@ class Topology:
 
         self._path_cache: dict[tuple[str, str], tuple[Link, ...]] = {}
         self._transfer_cache: dict[tuple[str, str, int], int] = {}
+        self.node_ids = sorted(by_id)
+        self.node_index = {node_id: i for i, node_id in enumerate(self.node_ids)}
+        self._to_cloud: dict[int, np.ndarray] = {}
 
     def node(self, node_id: str) -> NetworkNode:
         try:
@@ -212,6 +213,32 @@ class Topology:
             self._transfer_cache[key] = cached
         return cached
 
+    def ancestors(self, node_id: str) -> tuple[str, ...]:
+        """The node and every node above it, the cloud last."""
+        return self._chain[node_id]
+
+    def transfer_to_cloud_us(self, payload_bytes: int) -> np.ndarray:
+        """transfer_us(node, cloud, payload_bytes) of every node, indexed like node_ids.
+
+        A node's cost is its uplink hop plus its parent's cost, filled a tier
+        at a time from the cloud down.
+        """
+        cost = self._to_cloud.get(payload_bytes)
+        if cost is None:
+            nodes = [self.nodes_by_id[node_id] for node_id in self.node_ids]
+            up = [self._parent_link.get(node_id) for node_id in self.node_ids]
+            parent = np.array([self.node_index[link.parent] if link else 0 for link in up])
+            tier = np.array([n.tier for n in nodes])
+            bandwidth = np.array([link.bandwidth_mbps if link else 1 for link in up])
+            cost = np.array([link.propagation_us if link else 0 for link in up], dtype=np.int64)
+            cost += ceil_div(payload_bytes * 8, bandwidth)
+            cost[tier == Tier.CLOUD_SERVER] = 0
+            for t in (Tier.EDGE_SERVER, Tier.FOG_SERVER, Tier.END_DEVICE):
+                at = tier == t
+                cost[at] += cost[parent[at]]
+            self._to_cloud[payload_bytes] = cost
+        return cost
+
 
 def transfer_time(payload_bytes: int, route: tuple[Link, ...] | list[Link]) -> int:
     """One-way transfer time in microseconds over an ordered list of links.
@@ -229,11 +256,12 @@ def transfer_time(payload_bytes: int, route: tuple[Link, ...] | list[Link]) -> i
     return total
 
 
-def service_time_us(length_mi: int | float, capacity_mips: int) -> int:
-    """Service time of a task on a node: length / capacity, rounded up to 1 us."""
-    if isinstance(length_mi, int):
-        return ceil_div(length_mi * 1_000_000, capacity_mips)
-    return math.ceil(length_mi * 1_000_000 / capacity_mips)
+def service_time_us(length_mi, capacity_mips):
+    """Service time of a task on a node: length / capacity, rounded up to 1 us.
+
+    Lengths and capacities are integers, or int64 arrays of them element-wise.
+    """
+    return ceil_div(length_mi * 1_000_000, capacity_mips)
 
 
 def fifo_completions(server: np.ndarray, arrival: np.ndarray, service: np.ndarray,

@@ -13,7 +13,7 @@ import json
 from pathlib import Path
 
 from .errors import ConfigError
-from .harness import KindStats, ScenarioResult
+from .harness import KindStats, ScenarioResult, value_label
 from .stats import latency_reduction
 from .workload import KIND_LABEL_LIST
 
@@ -35,12 +35,6 @@ def _ms_str_to_us(text: str) -> int | None:
     return int(whole) * 1000 + int((frac + "000")[:3])
 
 
-def _value_str(value) -> str:
-    if isinstance(value, float) and value.is_integer():
-        return str(int(value))
-    return str(value)
-
-
 def write_results_csv(results: list[ScenarioResult], path: str | Path) -> None:
     """One row per (scenario, kind), kinds with no records included with empty stats."""
     lines = [CSV_HEADER]
@@ -48,7 +42,7 @@ def write_results_csv(results: list[ScenarioResult], path: str | Path) -> None:
         for kind in _KIND_ROWS:
             s = r.stats.get(kind, KindStats(0, None, None, None, None))
             lines.append(",".join((
-                r.scenario_id, r.policy, r.param, _value_str(r.value),
+                r.scenario_id, r.policy, r.param, value_label(r.value),
                 str(r.replication), kind, str(s.count),
                 _us_to_ms_str(s.mean_us), _us_to_ms_str(s.p50_us),
                 _us_to_ms_str(s.p95_us), _us_to_ms_str(s.p99_us),
@@ -123,7 +117,7 @@ def write_plot_data(results: list[ScenarioResult], param: str, path: str | Path)
     rows = plot_series(results, param)
     lines = [f"# {param} cloudonly_mean_ms fogedge_mean_ms"]
     for value, cloud_ms, fog_ms in rows:
-        lines.append(f"{_value_str(value)} {cloud_ms:.3f} {fog_ms:.3f}")
+        lines.append(f"{value_label(value)} {cloud_ms:.3f} {fog_ms:.3f}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -205,5 +199,5 @@ def reduction_table(results: list[ScenarioResult]) -> str:
         cloud_ms = sum(cloud) / len(cloud) / 1000
         fog_ms = sum(fog) / len(fog) / 1000
         red = latency_reduction(cloud_ms, fog_ms)
-        lines.append(f"{_value_str(value):>10}  {cloud_ms:>14.3f}  {fog_ms:>14.3f}  {red:>9.1%}")
+        lines.append(f"{value_label(value):>10}  {cloud_ms:>14.3f}  {fog_ms:>14.3f}  {red:>9.1%}")
     return "\n".join(lines)

@@ -1,20 +1,24 @@
 """Metaverse task taxonomy and the placement policies under comparison.
 
-Placement is a pure function: given a task (whose region was fixed at
-creation time), the owner's position in the topology tree and the active
+Placement is a pure function: given a task's kind, its owner's region at
+creation time, the owner's position in the topology tree and the active
 policy, it always returns the same node. CloudOnly sends everything to the
 cloud; FogEdge keeps avatar tasks at the owner's home fog, social and
 transaction-validation tasks at the edge server of the region where the
-avatar currently is, and universe simulation at the cloud.
+avatar currently is, and universe simulation at the cloud. A Placement
+tabulates place(), with the transfer and service times it implies, once per
+topology and policy.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from enum import Enum, IntEnum
 
+import numpy as np
+
 from .errors import ConfigError
-from .infrastructure import Topology
+from .infrastructure import Topology, service_time_us
 
 SYSTEM_OWNER = -1  # owner of world-level tasks (universe simulation)
 
@@ -36,6 +40,8 @@ KIND_LABELS = {
 }
 
 KIND_LABEL_LIST = [KIND_LABELS[k] for k in TaskKind]
+AVATAR_KINDS = (TaskKind.SPATIAL_NAVIGATION, TaskKind.COLLISION_DETECTION)  # at the home fog
+REGION_KINDS = (TaskKind.SOCIAL_INTERACTION, TaskKind.TRANSACTION_VALIDATION)  # at a region edge
 
 
 class Policy(str, Enum):
@@ -52,52 +58,88 @@ class Policy(str, Enum):
         raise ConfigError(f"unknown policy {name!r} (expected cloud or fogedge)")
 
 
-@dataclass(frozen=True)
-class Task:
-    task_id: int
-    kind: TaskKind
-    owner: int
-    length_mi: int | float
-    upload_bytes: int
-    download_bytes: int
-    created_us: int
-    region: tuple[int, int] | None = None  # owner's region when the task was created
+def place(kind: TaskKind, policy: Policy, topo: Topology, home_fog: str | None = None,
+          region: tuple[int, int] | None = None, owner: int = 0) -> str:
+    """Node that executes a task of this kind under the given policy.
 
-    def __post_init__(self):
-        if self.length_mi <= 0:
-            raise ConfigError(f"task {self.task_id}: length must be > 0")
-        if self.upload_bytes < 0 or self.download_bytes < 0:
-            raise ConfigError(f"task {self.task_id}: payloads must be >= 0")
-
-
-@dataclass(frozen=True)
-class TaskProfile:
-    kind: TaskKind
-    base_length_mi: int
-    upload_bytes: int
-    download_bytes: int
-    per_neighbor_mi: int = 0  # collision detection only
-
-
-def collision_length_mi(profile: TaskProfile, candidates: int) -> int:
-    return profile.base_length_mi + profile.per_neighbor_mi * candidates
-
-
-def place(task: Task, policy: Policy, topo: Topology, home_fog: str | None = None) -> str:
-    """Node that executes a task under the given policy.
-
-    home_fog is the owner's home fog id; required under FogEdge for avatar
-    tasks. Region-bound kinds use the edge server of task.region.
+    home_fog is the owner's home fog id, required under FogEdge for avatar
+    tasks. Region-bound kinds use an edge server of region, the owner's
+    region when the task was created; owner spreads them when it has several.
     """
     if policy is Policy.CLOUD_ONLY:
         return topo.cloud_id
-    kind = task.kind
-    if kind in (TaskKind.SPATIAL_NAVIGATION, TaskKind.COLLISION_DETECTION):
+    if kind in AVATAR_KINDS:
         if home_fog is None:
-            raise ConfigError(f"task {task.task_id}: owner {task.owner} has no home fog")
+            raise ConfigError(f"{KIND_LABELS[kind]} task of owner {owner} has no home fog")
         return home_fog
-    if kind in (TaskKind.SOCIAL_INTERACTION, TaskKind.TRANSACTION_VALIDATION):
-        if task.region is None:
-            raise ConfigError(f"task {task.task_id}: region-bound task carries no region")
-        return topo.edge_of_region(task.region, task.owner)
+    if kind in REGION_KINDS:
+        if region is None:
+            raise ConfigError(f"{KIND_LABELS[kind]} task carries no region")
+        return topo.edge_of_region(region, owner)
     return topo.cloud_id  # universe simulation
+
+
+class Placement:
+    """Server, transfers and service time of every task under one policy, as arrays.
+
+    Built at set-up from place(): per kind, a server table indexed by the
+    owner for avatar tasks, by (region, owner mod the edges of a region) for
+    region-bound tasks, and one entry for universe simulation. Every server
+    is on the owner's path to the cloud, or is an edge or the cloud, so a
+    transfer is the difference of two per-node costs to the cloud when the
+    server is above the owner, and their sum when the path runs through the
+    cloud. apply() maps buffered task columns to those values with numpy
+    fancy indexing; they equal place(), Topology.transfer_us and
+    service_time_us task by task.
+    """
+
+    def __init__(self, policy: Policy, topo: Topology, profiles: dict,
+                 device_of_user: list[str], home_fog_of_user: list[str],
+                 regions: list[tuple[int, int]]):
+        self.policy = policy
+        self.node_ids = topo.node_ids
+        index = topo.node_index
+        self.capacity = np.array([topo.nodes_by_id[n].capacity_mips for n in topo.node_ids],
+                                 dtype=np.int64)
+        # Per owner: its device and the two nodes above it; the last entry
+        # stands for SYSTEM_OWNER (index -1), whose tasks start at the cloud.
+        chains = [topo.ancestors(d) for d in device_of_user] + [(topo.cloud_id,)]
+        self._device, self._above, self._above2 = (
+            np.array([index[chain[min(i, len(chain) - 1)]] for chain in chains])
+            for i in (0, 1, 2))
+        self._k = math.lcm(*map(len, topo.edges_by_region.values()))
+        tables, offsets = [], []
+        for kind in TaskKind:
+            if kind in AVATAR_KINDS:
+                by_fog = {f: place(kind, policy, topo, f) for f in dict.fromkeys(home_fog_of_user)}
+                table = [by_fog[f] for f in home_fog_of_user]
+            elif kind in REGION_KINDS:
+                table = [place(kind, policy, topo, region=r, owner=j)
+                         for r in regions for j in range(self._k)]
+            else:
+                table = [place(kind, policy, topo)]
+            offsets.append(sum(map(len, tables)))
+            tables.append([index[n] for n in table])
+        self._server = np.array([i for table in tables for i in table])
+        self._offset = np.array(offsets)
+        self._scope = np.array([0 if k in AVATAR_KINDS else 1 if k in REGION_KINDS else 2
+                                for k in TaskKind])
+        labels = [profiles[KIND_LABELS[k]] for k in TaskKind]
+        self._up, self._down = (
+            np.stack([topo.transfer_to_cloud_us(p[key]) for p in labels])
+            for key in ("upload_bytes", "download_bytes"))
+        self._length = np.array([p.get("length_mi", p.get("base_length_mi")) for p in labels])
+        self._per_candidate = np.array([p.get("per_neighbor_mi", 0) for p in labels])
+
+    def apply(self, kind: np.ndarray, owner: np.ndarray, region: np.ndarray,
+              candidates: np.ndarray) -> tuple[np.ndarray, ...]:
+        """(server index, uplink, service, downlink) of each task, in microseconds."""
+        scope = self._scope[kind]
+        slot = np.select((scope == 0, scope == 1), (owner, region * self._k + owner % self._k))
+        server = self._server[self._offset[kind] + slot]
+        device = self._device[owner]
+        sign = np.where((server == self._above[owner]) | (server == self._above2[owner]), -1, 1)
+        up = self._up[kind, device] + sign * self._up[kind, server]
+        down = self._down[kind, device] + sign * self._down[kind, server]
+        length = self._length[kind] + self._per_candidate[kind] * candidates
+        return server, up, service_time_us(length, self.capacity[server]), down

@@ -26,7 +26,7 @@ from metafog.infrastructure import (
 from metafog.ledger import Chain, Transaction
 from metafog.reporting import emit
 from metafog.stats import latency_reduction
-from metafog.workload import Policy, Task, TaskKind
+from metafog.workload import Placement, Policy, TaskKind
 from metafog.world import World, WorldGrid
 
 REPLICATIONS = 3
@@ -184,15 +184,18 @@ def test_criterion_5_hand_trace_oracle():
         Link("dev-1", "fog-0", 2_000, 100),
     ]
     topo = Topology(nodes, links)
+    profiles = {
+        **resolve_config(None)["workload"]["profiles"],
+        "spatial_navigation": {"length_mi": 50, "upload_bytes": 2_000, "download_bytes": 1_000},
+        "social_interaction": {"length_mi": 30, "upload_bytes": 1_000, "download_bytes": 1_000},
+    }
+    placement = Placement(Policy.FOG_EDGE, topo, profiles, ["dev-0", "dev-1"],
+                          ["fog-0", "fog-0"], [(0, 0)])
     records = []
-    pipeline = TaskPipeline(topo, Policy.FOG_EDGE, record_sink=records.append)
-    pipeline.dispatch_task(
-        Task(0, TaskKind.SPATIAL_NAVIGATION, 0, 50, 2_000, 1_000, 0), "dev-0", "fog-0")
-    pipeline.dispatch_task(
-        Task(1, TaskKind.SPATIAL_NAVIGATION, 1, 50, 2_000, 1_000, 0), "dev-1", "fog-0")
-    pipeline.dispatch_task(
-        Task(2, TaskKind.SOCIAL_INTERACTION, 0, 30, 1_000, 1_000, 1_000, region=(0, 0)),
-        "dev-0")
+    pipeline = TaskPipeline(placement, record_sink=records.append)
+    pipeline.submit(0, TaskKind.SPATIAL_NAVIGATION, 0, 0)
+    pipeline.submit(1, TaskKind.SPATIAL_NAVIGATION, 1, 0)
+    pipeline.submit(2, TaskKind.SOCIAL_INTERACTION, 0, 1_000, region=0)  # region (0, 0)
     pipeline.resolve(10_000_000)
 
     expected = {

@@ -3,15 +3,15 @@
 import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metafog.cli import main as cli_main
 from metafog.config import DEFAULTS, config_digest, load_config, resolve_config
-from metafog.errors import ConfigError
-from metafog.harness import TaskPipeline, run_scenario, sweep
-from metafog.infrastructure import TierParams, build_topology
+from metafog.errors import ConfigError, ScenarioError
+from metafog.harness import ScenarioRunner, TaskPipeline, run_scenario, sweep
 from metafog.workload import Policy
 from metafog.reporting import (
     CSV_HEADER,
@@ -157,20 +157,33 @@ _TASK = st.tuples(
 )
 
 
+class _GivenPlacement:
+    """Places task i, submitted with region i, on the server and times listed for it."""
+
+    policy = Policy.CLOUD_ONLY
+    node_ids = ["n0", "n1", "n2", "n3"]
+
+    def __init__(self, tasks):
+        self.tasks = tasks
+
+    def apply(self, kind, owner, region, candidates):
+        given = np.array([self.tasks[i][1:5] for i in region.tolist()], dtype=np.int64)
+        return tuple(given.reshape(-1, 4).T)
+
+
 class TestResolve:
     @settings(max_examples=150, deadline=None)
     @given(tasks=st.lists(_TASK, max_size=50), cuts=st.lists(st.integers(0, 6_000), max_size=5))
     def test_windowed_resolve_matches_a_per_task_replay(self, tasks, cuts):
         tasks = sorted(tasks)  # submitted as generated: in creation order
         records, validated = [], []
-        pipeline = TaskPipeline(build_topology([(0, 0)], TierParams()), Policy.CLOUD_ONLY,
-                                record_sink=records.append)
+        pipeline = TaskPipeline(_GivenPlacement(tasks), record_sink=records.append)
         pipeline.on_validated = lambda at, txs: validated.append((at, txs))
         submitted = 0
         for cut in sorted(cuts) + [6_000]:
             while submitted < len(tasks) and tasks[submitted][0] <= cut:
-                created, server, up, service, down, has_tx = tasks[submitted]
-                pipeline.submit(submitted, 0, 7, server, created, up, service, down,
+                created, *_, has_tx = tasks[submitted]
+                pipeline.submit(submitted, 0, 7, created, submitted, 0,
                                 f"tx{submitted}" if has_tx else None)
                 submitted += 1
             pipeline.resolve(cut)
@@ -226,6 +239,60 @@ class TestSweep:
         emit(parallel, dir_b, cfg, param="user_count")
         for name in ("results.csv", "fig_latency_vs_users.dat", "run_metadata.json"):
             assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
+
+    @pytest.mark.parametrize("parallel", [False, True])
+    def test_a_failing_scenario_is_named_and_stays_a_config_error(self, parallel):
+        # user_count 0 is refused by the config check inside the worker
+        with pytest.raises(ConfigError, match=r"user_count=0 rep0 \(seed 42\): .*user_count"):
+            sweep(SMALL, "user_count", values=[4, 0], replications=2, parallel=parallel,
+                  max_workers=2)
+
+    def test_an_exception_inside_a_scenario_is_named(self, monkeypatch):
+        run = ScenarioRunner.run
+
+        def broken(runner):
+            if runner.seed == 43:
+                raise ZeroDivisionError("boom")
+            run(runner)
+
+        monkeypatch.setattr(ScenarioRunner, "run", broken)
+        with pytest.raises(ScenarioError,
+                           match=r"user_count=4 rep1 \(seed 43\) failed: ZeroDivisionError: boom"):
+            sweep(SMALL, "user_count", values=[4], replications=2)
+
+
+PAIR = (Policy.CLOUD_ONLY, Policy.FOG_EDGE)
+
+
+class TestPairedPolicies:
+    """One generation resolved under both policies equals a one-policy run of each."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(users=st.integers(1, 60), regions=st.integers(1, 3), edges=st.integers(1, 3),
+           messages=st.sampled_from([0.0, 0.3, 1.0]), txs=st.sampled_from([0.0, 0.2, 1.0]),
+           batch=st.integers(1, 4), horizon_s=st.integers(1, 6), seed=st.integers(0, 1_000))
+    def test_two_policy_run_matches_one_policy_runs(self, users, regions, edges, messages,
+                                                    txs, batch, horizon_s, seed):
+        cfg = resolve_config({
+            "world": {"width": 150.0, "height": 150.0, "regions_x": regions,
+                      "regions_y": regions + 1},
+            "topology": {"edges_per_region": edges},
+            "workload": {"user_count": users, "message_rate_per_user_per_s": messages,
+                         "tx_rate_per_user_per_s": txs},
+            "ledger": {"batch_size": batch},
+            "experiment": {"horizon_ms": 1_000.0 * horizon_s, "warmup_ms": 250.0 * horizon_s},
+        })
+        paired = []
+        both = ScenarioRunner(cfg, PAIR, seed, record_sink=paired.append)
+        both.run()
+        for policy in PAIR:
+            records = []
+            alone = ScenarioRunner(cfg, policy, seed, record_sink=records.append)
+            alone.run()
+            assert both.collect("s", "user_count", users, 0, policy) == \
+                alone.collect("s", "user_count", users, 0)
+            assert [r for r in paired if r.policy == policy.value] == records
+            assert both.chains[policy].export_lines() == alone.chain.export_lines()
 
 
 class TestEmission:
@@ -315,3 +382,9 @@ class TestCli:
                          "--seed", "1", "--out", str(tmp_path / "x")])
         assert code == 2
         assert "user_count" in capsys.readouterr().err
+
+    def test_sweep_names_the_scenario_that_fails(self, cfg_file, tmp_path, capsys):
+        code = cli_main(["sweep", "--config", str(cfg_file), "--param", "user_count",
+                         "--values", "4,0", "--reps", "1", "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert "user_count=0 rep0 (seed 42)" in capsys.readouterr().err

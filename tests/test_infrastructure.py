@@ -20,7 +20,7 @@ from metafog.infrastructure import (
     simulate_mm1,
     transfer_time,
 )
-from metafog.workload import Policy, Task, TaskKind
+from metafog.workload import SYSTEM_OWNER, Placement, Policy, TaskKind
 
 PARAMS = TierParams(
     fog_mips=4_000,
@@ -30,6 +30,17 @@ PARAMS = TierParams(
     fog_edge=LinkParams(5.0, 1_000),
     edge_cloud=LinkParams(30.0, 10_000),
 )
+
+
+# Task profiles of the hand computations: lengths in MI, payloads in bytes.
+PROFILES = {
+    "spatial_navigation": {"length_mi": 50, "upload_bytes": 2_000, "download_bytes": 1_000},
+    "collision_detection": {"base_length_mi": 20, "per_neighbor_mi": 1,
+                            "upload_bytes": 1_000, "download_bytes": 500},
+    "social_interaction": {"length_mi": 30, "upload_bytes": 1_000, "download_bytes": 1_000},
+    "transaction_validation": {"length_mi": 2_000, "upload_bytes": 2_000, "download_bytes": 500},
+    "universe_simulation": {"length_mi": 10_000, "upload_bytes": 0, "download_bytes": 0},
+}
 
 
 def minimal_chain():
@@ -229,19 +240,20 @@ def test_mm1_mean_wait_is_pinned():
 
 class TestEndToEndLatency:
     @staticmethod
-    def records(task, device, home_fog=None):
-        records = []
-        pipeline = TaskPipeline(minimal_chain(), Policy.FOG_EDGE, record_sink=records.append)
-        pipeline.dispatch_task(task, device, home_fog)
-        pipeline.resolve(10_000_000)
-        assert len(records) == 1
-        return records[0]
-
-    def test_components_sum_exactly(self):
+    def records(kind, owner):
         topo = minimal_chain()
         dev = next(n for n in topo.nodes_by_id if n.startswith("dev"))
         fog = next(n for n in topo.nodes_by_id if n.startswith("fog"))
-        rec = self.records(Task(0, TaskKind.SPATIAL_NAVIGATION, 0, 50, 2_000, 1_000, 0), dev, fog)
+        records = []
+        placement = Placement(Policy.FOG_EDGE, topo, PROFILES, [dev], [fog], [(0, 0)])
+        pipeline = TaskPipeline(placement, record_sink=records.append)
+        pipeline.submit(0, kind, owner, 0)
+        pipeline.resolve(10_000_000)
+        assert len(records) == 1
+        return fog, records[0]
+
+    def test_components_sum_exactly(self):
+        fog, rec = self.records(TaskKind.SPATIAL_NAVIGATION, 0)
         assert rec.placed_on == fog
         assert rec.total_us == rec.uplink_us + rec.wait_us + rec.service_us + rec.downlink_us
         assert rec.uplink_us == 2_000 + 160
@@ -249,7 +261,8 @@ class TestEndToEndLatency:
         assert rec.downlink_us == 2_000 + 80
 
     def test_device_local_route_is_wait_plus_service(self):
-        rec = self.records(Task(1, TaskKind.UNIVERSE_SIMULATION, -1, 10_000, 0, 0, 0), "cloud")
+        _, rec = self.records(TaskKind.UNIVERSE_SIMULATION, SYSTEM_OWNER)
+        assert rec.placed_on == "cloud"
         assert rec.uplink_us == rec.downlink_us == 0
         assert rec.total_us == rec.wait_us + rec.service_us == 100_000
 

@@ -1,11 +1,22 @@
 """Task generation rates, placement policy table, policy separation, determinism."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from metafog.config import resolve_config
 from metafog.errors import ConfigError
 from metafog.harness import run_scenario
-from metafog.infrastructure import Tier, TierParams, build_topology
-from metafog.workload import Policy, Task, TaskKind, place
+from metafog.infrastructure import (
+    LinkParams,
+    Tier,
+    TierParams,
+    build_topology,
+    build_user_topology,
+    service_time_us,
+)
+from metafog.workload import KIND_LABELS, SYSTEM_OWNER, Placement, Policy, TaskKind, place
 
 
 def small_cfg(**workload):
@@ -23,53 +34,86 @@ class TestPlacementTable:
         self.fog = next(n for n in self.topo.nodes_by_id
                         if self.topo.node(n).tier == Tier.FOG_SERVER)
 
-    def mk(self, kind, region=None):
-        return Task(0, kind, 3, 50, 1_000, 500, 0, region=region)
+    def place(self, kind, policy=Policy.FOG_EDGE, region=None):
+        return place(kind, policy, self.topo, self.fog, region=region, owner=3)
 
     def test_cloud_only_sends_every_kind_to_cloud(self):
         for kind in TaskKind:
-            task = self.mk(kind, region=(1, 1))
-            assert place(task, Policy.CLOUD_ONLY, self.topo, self.fog) == "cloud"
+            assert self.place(kind, Policy.CLOUD_ONLY, region=(1, 1)) == "cloud"
 
     def test_fogedge_navigation_goes_to_home_fog(self):
-        task = self.mk(TaskKind.SPATIAL_NAVIGATION)
-        assert place(task, Policy.FOG_EDGE, self.topo, self.fog) == self.fog
+        assert self.place(TaskKind.SPATIAL_NAVIGATION) == self.fog
 
     def test_fogedge_collision_goes_to_home_fog(self):
-        task = self.mk(TaskKind.COLLISION_DETECTION)
-        assert place(task, Policy.FOG_EDGE, self.topo, self.fog) == self.fog
+        assert self.place(TaskKind.COLLISION_DETECTION) == self.fog
 
     def test_fogedge_social_goes_to_current_region_edge(self):
-        task = self.mk(TaskKind.SOCIAL_INTERACTION, region=(1, 1))
-        assert place(task, Policy.FOG_EDGE, self.topo, self.fog) == "edge-1-1"
+        assert self.place(TaskKind.SOCIAL_INTERACTION, region=(1, 1)) == "edge-1-1"
 
     def test_fogedge_transaction_goes_to_submitter_region_edge(self):
-        task = self.mk(TaskKind.TRANSACTION_VALIDATION, region=(0, 0))
-        assert place(task, Policy.FOG_EDGE, self.topo, self.fog) == "edge-0-0"
+        assert self.place(TaskKind.TRANSACTION_VALIDATION, region=(0, 0)) == "edge-0-0"
 
     def test_fogedge_universe_simulation_stays_on_cloud(self):
-        task = self.mk(TaskKind.UNIVERSE_SIMULATION)
-        assert place(task, Policy.FOG_EDGE, self.topo, self.fog) == "cloud"
+        assert self.place(TaskKind.UNIVERSE_SIMULATION) == "cloud"
 
     def test_place_is_deterministic(self):
-        task = self.mk(TaskKind.SOCIAL_INTERACTION, region=(1, 1))
-        nodes = {place(task, Policy.FOG_EDGE, self.topo, self.fog) for _ in range(5)}
+        nodes = {self.place(TaskKind.SOCIAL_INTERACTION, region=(1, 1)) for _ in range(5)}
         assert len(nodes) == 1
 
     def test_fog_task_without_home_fog_is_an_error(self):
-        task = self.mk(TaskKind.SPATIAL_NAVIGATION)
         with pytest.raises(ConfigError):
-            place(task, Policy.FOG_EDGE, self.topo, None)
+            place(TaskKind.SPATIAL_NAVIGATION, Policy.FOG_EDGE, self.topo, None)
+
+
+_LINK = st.builds(LinkParams, st.sampled_from([0.0, 0.5, 2.0, 16.1]), st.integers(1, 10_000))
+
+
+class TestPlacementArrays:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), regions_x=st.integers(1, 3), regions_y=st.integers(1, 3),
+           edges=st.integers(1, 3), devices_per_fog=st.integers(1, 3),
+           links=st.tuples(_LINK, _LINK, _LINK))
+    def test_apply_equals_place_transfer_and_service_task_by_task(
+            self, data, regions_x, regions_y, edges, devices_per_fog, links):
+        grid = [(rx, ry) for rx in range(regions_x) for ry in range(regions_y)]
+        homes = data.draw(st.lists(st.sampled_from(grid), min_size=1, max_size=12))
+        topo, devices, fogs = build_user_topology(
+            homes, grid, TierParams(2_000, 4_000, 20_000, 100_000, *links),
+            edges_per_region=edges, devices_per_fog=devices_per_fog)
+        profiles = resolve_config(None)["workload"]["profiles"]
+        owner_of = st.integers(0, len(homes) - 1)
+        tasks = data.draw(st.lists(st.tuples(
+            st.sampled_from(list(TaskKind)), owner_of, st.integers(0, len(grid) - 1),
+            st.integers(0, 50)), min_size=1, max_size=30))
+        tasks = [(k, SYSTEM_OWNER if k == TaskKind.UNIVERSE_SIMULATION else o, r,
+                  c if k == TaskKind.COLLISION_DETECTION else 0) for k, o, r, c in tasks]
+        columns = [np.array(column, dtype=np.int64) for column in zip(*tasks)]
+        for policy in Policy:
+            placement = Placement(policy, topo, profiles, devices, fogs, grid)
+            got = list(zip(*(column.tolist() for column in placement.apply(*columns))))
+            for (kind, owner, region, candidates), (server, up, service, down) in zip(tasks, got):
+                system = owner == SYSTEM_OWNER
+                node = place(kind, policy, topo, None if system else fogs[owner],
+                             region=grid[region], owner=owner)
+                source = topo.cloud_id if system else devices[owner]
+                profile = profiles[KIND_LABELS[kind]]
+                length = profile.get("length_mi", profile.get("base_length_mi"))
+                length += profile.get("per_neighbor_mi", 0) * candidates
+                assert topo.node_ids[server] == node
+                assert up == topo.transfer_us(source, node, profile["upload_bytes"])
+                assert down == topo.transfer_us(node, source, profile["download_bytes"])
+                assert service == service_time_us(length, topo.node(node).capacity_mips)
 
 
 class TestTaskValidation:
+    # A task's length and payloads are those of its kind's profile, which the config checks.
     def test_non_positive_length_rejected(self):
-        with pytest.raises(ConfigError):
-            Task(0, TaskKind.SPATIAL_NAVIGATION, 0, 0, 0, 0, 0)
+        with pytest.raises(ConfigError, match="length_mi"):
+            resolve_config({"workload": {"profiles": {"spatial_navigation": {"length_mi": 0}}}})
 
     def test_negative_payload_rejected(self):
-        with pytest.raises(ConfigError):
-            Task(0, TaskKind.SPATIAL_NAVIGATION, 0, 50, -1, 0, 0)
+        with pytest.raises(ConfigError, match="upload_bytes"):
+            resolve_config({"workload": {"profiles": {"spatial_navigation": {"upload_bytes": -1}}}})
 
 
 def test_policy_parse_accepts_cli_spellings():
