@@ -222,8 +222,10 @@ class TaskPipeline:
         if self.record_sink is not None:
             self._record(_in_finish_order(rows))
         if self._txs and self.on_validated is not None:
-            pending = np.fromiter(self._txs, dtype=np.int64, count=len(self._txs))
-            self._validate(_in_finish_order(rows[np.isin(rows[:, _IDX], pending)]))
+            # dict order is submit order, so the keys come sorted
+            keys = np.fromiter(self._txs, dtype=np.int64, count=len(self._txs))
+            at = np.searchsorted(keys, rows[:, _IDX]).clip(max=keys.size - 1)
+            self._validate(_in_finish_order(rows[keys[at] == rows[:, _IDX]]))
 
     def _record(self, rows: np.ndarray) -> None:
         sink = self.record_sink
@@ -271,10 +273,17 @@ def _in_finish_order(rows: np.ndarray) -> np.ndarray:
 
 
 def _tier_params(cfg: dict) -> TierParams:
-    topo = cfg["topology"]
-    return TierParams(topo["device_mips"], topo["fog_mips"], topo["edge_mips"], topo["cloud_mips"],
-                      *(LinkParams(**topo["links"][hop])
-                        for hop in ("device_fog", "fog_edge", "edge_cloud")))
+    topo_cfg = cfg["topology"]
+    links = topo_cfg["links"]
+    return TierParams(
+        device_mips=topo_cfg["device_mips"],
+        fog_mips=topo_cfg["fog_mips"],
+        edge_mips=topo_cfg["edge_mips"],
+        cloud_mips=topo_cfg["cloud_mips"],
+        device_fog=LinkParams(**links["device_fog"]),
+        fog_edge=LinkParams(**links["fog_edge"]),
+        edge_cloud=LinkParams(**links["edge_cloud"]),
+    )
 
 
 class ScenarioRunner:
@@ -319,10 +328,7 @@ class ScenarioRunner:
             devices_per_fog=cfg["topology"]["devices_per_fog"],
         )
         self.topo = topo
-        self.device_of_user = devices
         self.home_fog_of_user = fogs
-        for user, avatar in enumerate(self.world.avatars):
-            avatar.home_fog = fogs[user]
 
         self.engine = Engine()
         self.pipelines: dict[Policy, TaskPipeline] = {}

@@ -70,7 +70,6 @@ class Avatar:
     wy: float
     speed: float  # world units per second
     region: tuple[int, int]
-    home_fog: str | None = None
 
 
 def movement_tick(avatar: Avatar, dt_s: float, rng: RngStream, grid: WorldGrid) -> Avatar:
