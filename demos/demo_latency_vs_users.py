@@ -5,7 +5,7 @@ Access latency as the user count grows
 The experiment behind the first headline figure: sweep the user population
 under both policies and watch the cloud-only baseline saturate while the
 fog-edge deployment stays flat. This demo uses a shortened horizon and a
-reduced sweep so it finishes in about a minute; drop the overrides to
+reduced sweep so it finishes in a few seconds; drop the overrides to
 reproduce the full default experiment.
 """
 

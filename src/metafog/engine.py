@@ -119,7 +119,6 @@ class Engine:
         "_heap",
         "_next_seq",
         "_handlers",
-        "scheduled_count",
         "dispatched_count",
         "_last_t",
         "_last_seq",
@@ -131,7 +130,6 @@ class Engine:
         self._heap: list[tuple] = []
         self._next_seq = 0
         self._handlers: dict[int, object] = {}
-        self.scheduled_count = 0
         self.dispatched_count = 0
         self._last_t = -1
         self._last_seq = -1
@@ -148,7 +146,11 @@ class Engine:
             )
         heapq.heappush(self._heap, (fire_at_us, self._next_seq, kind, payload))
         self._next_seq += 1
-        self.scheduled_count += 1
+
+    @property
+    def scheduled_count(self) -> int:
+        """Events scheduled so far: each takes the next sequence number."""
+        return self._next_seq
 
     @property
     def queued_count(self) -> int:

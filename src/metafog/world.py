@@ -3,13 +3,17 @@
 Avatars follow a random-waypoint walk: head for the current waypoint at a
 fixed speed, and draw a fresh uniform waypoint on arrival. A spatial hash with
 cells at least as large as the proximity radius makes radius queries and
-collision-candidate counts a 3x3 cell scan.
+collision-candidate counts a 3x3 cell scan: the linked-cell method (Allen &
+Tildesley, *Computer Simulation of Liquids*, 1987, section 5.3.2). Each cell
+holds its Avatar objects, and each cell's 3x3 block of member lists is built
+once, so a query walks avatars directly rather than looking up user ids.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .engine import RngStream
 from .errors import ConfigError, SimulationError
@@ -31,11 +35,13 @@ class WorldGrid:
         if self.cell <= 0:
             raise ConfigError("world: cell must be > 0")
 
-    @property
+    # cached_property stores into the instance __dict__, which the frozen
+    # __setattr__ does not guard; later reads are plain attribute lookups.
+    @cached_property
     def region_width(self) -> float:
         return self.width / self.regions_x
 
-    @property
+    @cached_property
     def region_height(self) -> float:
         return self.height / self.regions_y
 
@@ -61,7 +67,7 @@ def region_of(pos: tuple[float, float], grid: WorldGrid) -> tuple[int, int]:
     return rx, ry
 
 
-@dataclass
+@dataclass(slots=True, eq=False)
 class Avatar:
     user: int
     x: float
@@ -101,32 +107,35 @@ def movement_tick(avatar: Avatar, dt_s: float, rng: RngStream, grid: WorldGrid) 
 class World:
     """All avatars plus the spatial hash that serves proximity queries.
 
-    The hash is kept incrementally: an avatar is rebucketed only when a tick
-    moves it across a cell border. Queries therefore always see every avatar
-    at its most recently ticked position.
+    The hash keeps the Avatar objects of each cell in one member list per
+    cell. For every cell it also holds, built once at construction, the tuple
+    of the member lists of the cell's 3x3 block; the lists are mutated in
+    place, so the tuples never go stale and a query scans avatars without
+    any cell arithmetic. The hash is kept incrementally: an avatar is
+    rebucketed only when a tick moves it across a cell border. Queries
+    therefore always see every avatar at its most recently ticked position.
     """
 
     def __init__(self, grid: WorldGrid, n_users: int, speed: float, rng: RngStream):
         self.grid = grid
         self.rng = rng
-        self.ncx = max(1, math.ceil(grid.width / grid.cell))
-        self.ncy = max(1, math.ceil(grid.height / grid.cell))
-        ncells = self.ncx * self.ncy
-        self._counts = [0] * ncells
-        self._members: list[list[int]] = [[] for _ in range(ncells)]
-        # neighbors[c] lists the 3x3 block around cell c (clipped at borders);
-        # _nbsum[c] is kept equal to sum(counts over neighbors[c]) at all times,
+        self.ncx = ncx = max(1, math.ceil(grid.width / grid.cell))
+        self.ncy = ncy = max(1, math.ceil(grid.height / grid.cell))
+        members: list[list[Avatar]] = [[] for _ in range(ncx * ncy)]
+        self._members = members
+        # _neighbors[c] lists the 3x3 block around cell c (clipped at borders),
+        # x-major; _blocks[c] holds the member lists of those cells in the same
+        # order. _nbsum[c] is kept equal to the number of avatars in the block,
         # so a collision-candidate query is a single lookup.
+        ys = [range(max(0, cy - 1), min(ncy, cy + 2)) for cy in range(ncy)]
         self._neighbors: list[tuple[int, ...]] = []
-        for cx in range(self.ncx):
-            for cy in range(self.ncy):
-                block = [
-                    gx * self.ncy + gy
-                    for gx in range(max(0, cx - 1), min(self.ncx, cx + 2))
-                    for gy in range(max(0, cy - 1), min(self.ncy, cy + 2))
-                ]
-                self._neighbors.append(tuple(block))
-        self._nbsum = [0] * ncells
+        self._blocks: list[tuple[list[Avatar], ...]] = []
+        for cx in range(ncx):
+            gxs = range(max(0, cx - 1), min(ncx, cx + 2))
+            for gys in ys:
+                block = tuple([gx * ncy + gy for gx in gxs for gy in gys])
+                self._neighbors.append(block)
+                self._blocks.append(tuple([members[n] for n in block]))
         self.avatars: list[Avatar] = []
         self._cell_of: list[int] = []
         for user in range(n_users):
@@ -138,10 +147,8 @@ class World:
             self.avatars.append(avatar)
             c = self._cell_index(x, y)
             self._cell_of.append(c)
-            self._counts[c] += 1
-            self._members[c].append(user)
-            for n in self._neighbors[c]:
-                self._nbsum[n] += 1
+            members[c].append(avatar)
+        self._nbsum = [sum(map(len, block)) for block in self._blocks]
 
     def _cell_index(self, x: float, y: float) -> int:
         cx = int(x / self.grid.cell)
@@ -155,14 +162,22 @@ class World:
     def tick_avatar(self, user: int, dt_s: float) -> Avatar:
         """Movement tick for one avatar, keeping the spatial hash current."""
         avatar = self.avatars[user]
-        movement_tick(avatar, dt_s, self.rng, self.grid)
-        c = self._cell_index(avatar.x, avatar.y)
+        grid = self.grid
+        movement_tick(avatar, dt_s, self.rng, grid)
+        # _cell_index, inlined: this runs once per avatar per tick
+        cell = grid.cell
+        cx = int(avatar.x / cell)
+        cy = int(avatar.y / cell)
+        ncy = self.ncy
+        if cx >= self.ncx:
+            cx = self.ncx - 1
+        if cy >= ncy:
+            cy = ncy - 1
+        c = cx * ncy + cy
         old = self._cell_of[user]
         if c != old:
-            self._counts[old] -= 1
-            self._members[old].remove(user)
-            self._counts[c] += 1
-            self._members[c].append(user)
+            self._members[old].remove(avatar)
+            self._members[c].append(avatar)
             self._cell_of[user] = c
             nbsum = self._nbsum
             for n in self._neighbors[old]:
@@ -179,7 +194,8 @@ class World:
         """Users within Euclidean distance radius, via a 3x3 cell scan.
 
         The querying user is excluded. Requires radius <= cell so that the
-        scan covers the whole disc.
+        scan covers the whole disc. Users come in scan order: block cells
+        x-major, and each cell's members in the order they entered it.
         """
         if radius > self.grid.cell:
             raise ConfigError(
@@ -188,23 +204,15 @@ class World:
         me = self.avatars[user]
         x, y = me.x, me.y
         r2 = radius * radius
-        c = self._cell_of[user]
-        cx, cy = divmod(c, self.ncy)
         found = []
-        members = self._members
-        avatars = self.avatars
-        ncy = self.ncy
-        for gx in range(max(0, cx - 1), min(self.ncx, cx + 2)):
-            base = gx * ncy
-            for gy in range(max(0, cy - 1), min(ncy, cy + 2)):
-                for other in members[base + gy]:
-                    if other == user:
-                        continue
-                    a = avatars[other]
-                    dx = a.x - x
-                    dy = a.y - y
-                    if dx * dx + dy * dy <= r2:
-                        found.append(other)
+        for members in self._blocks[self._cell_of[user]]:
+            for a in members:
+                dx = a.x - x
+                dy = a.y - y
+                if dx * dx + dy * dy <= r2:
+                    found.append(a.user)
+        # the scan finds the querying user itself at distance 0
+        found.remove(user)
         return found
 
     def regions_of_users(self) -> list[tuple[int, int]]:

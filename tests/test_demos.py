@@ -1,0 +1,31 @@
+"""Smoke test: every script under demos/ runs to completion.
+
+The demos are the README's worked examples, and demo_world_proximity.py also
+asserts the spatial hash against brute force after movement. Each runs in a
+subprocess from the repository root, with src/ on the import path.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def test_demos_are_found():
+    assert len(DEMOS) >= 5
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
+def test_demo_exits_cleanly(demo):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]

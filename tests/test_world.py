@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metafog.engine import RngStream
 from metafog.errors import ConfigError, SimulationError
@@ -78,17 +80,19 @@ def brute_force_nearby(world, user, radius):
     return out
 
 
-def brute_force_candidates(world, user):
+def brute_force_cell(world, avatar):
     cell = world.grid.cell
-    me = world.avatars[user]
-    mx, my = int(me.x / cell), int(me.y / cell)
-    mx, my = min(mx, world.ncx - 1), min(my, world.ncy - 1)
+    cx, cy = int(avatar.x / cell), int(avatar.y / cell)
+    return min(cx, world.ncx - 1), min(cy, world.ncy - 1)
+
+
+def brute_force_candidates(world, user):
+    mx, my = brute_force_cell(world, world.avatars[user])
     count = 0
     for other in world.avatars:
         if other.user == user:
             continue
-        ox, oy = int(other.x / cell), int(other.y / cell)
-        ox, oy = min(ox, world.ncx - 1), min(oy, world.ncy - 1)
+        ox, oy = brute_force_cell(world, other)
         if abs(ox - mx) <= 1 and abs(oy - my) <= 1:
             count += 1
     return count
@@ -132,6 +136,60 @@ class TestProximityQueries:
         # k avatars dropped on the same spot: candidates == k - 1 for each
         world = World(WorldGrid(100.0, 100.0, 1, 1, 100.0), 5, 0.0, RngStream(4, "movement"))
         assert all(world.collision_candidates(u) == 4 for u in range(5))
+
+
+class TestHashUnderMovement:
+    """The spatial hash against brute force after random ticks and crossings."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), cell=st.floats(1.0, 50.0), width=st.floats(1.0, 200.0),
+           height=st.floats(1.0, 200.0), n=st.integers(2, 60),
+           cells_per_s=st.sampled_from([0.0, 0.05, 0.5, 1.0, 3.5]),
+           radius_share=st.floats(0.0, 1.0, exclude_min=True), seed=st.integers(0, 1_000))
+    def test_queries_match_brute_force_after_random_ticks(self, data, cell, width, height, n,
+                                                          cells_per_s, radius_share, seed):
+        grid = WorldGrid(width, height, 1, 1, cell)
+        world = World(grid, n, cells_per_s * cell, RngStream(seed, "movement"))
+        radius = radius_share * cell
+        # Colocate avatars: k takes j's position and waypoint, so the same
+        # first tick moves both to the same point (and keeps them there at
+        # speed 0). The first round ticks every avatar, which rebuckets k.
+        pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        for k, j in data.draw(st.lists(pairs, max_size=n), label="colocate"):
+            src, dst = world.avatars[j], world.avatars[k]
+            dst.x, dst.y, dst.wx, dst.wy = src.x, src.y, src.wx, src.wy
+        rounds = [list(range(n))] + data.draw(
+            st.lists(st.lists(st.integers(0, n - 1), max_size=2 * n), min_size=1, max_size=6),
+            label="tick sequences")
+        for users in rounds:
+            dt_s = data.draw(st.floats(0.1, 2.0), label="dt_s")
+            for user in users:
+                world.tick_avatar(user, dt_s)
+            self._check(world, radius)
+        # the block tuples alias the live member lists, never copies of them
+        for c, block in enumerate(world._neighbors):
+            assert all(m is world._members[n] for m, n in zip(world._blocks[c], block, strict=True))
+
+    @staticmethod
+    def _check(world, radius):
+        home = {}
+        for c, members in enumerate(world._members):
+            for avatar in members:
+                assert id(avatar) not in home, "avatar in two member lists"
+                home[id(avatar)] = c
+        assert len(home) == len(world.avatars)
+        for user, avatar in enumerate(world.avatars):
+            cx, cy = brute_force_cell(world, avatar)
+            assert home[id(avatar)] == world._cell_of[user] == cx * world.ncy + cy
+            got = world.nearby_users(user, radius)
+            assert len(got) == len(set(got))
+            assert user not in got
+            assert set(got) == {
+                other.user for other in world.avatars
+                if other.user != user
+                and (other.x - avatar.x) ** 2 + (other.y - avatar.y) ** 2 <= radius ** 2
+            }
+            assert world.collision_candidates(user) == brute_force_candidates(world, user)
 
 
 class TestContainmentInvariant:
