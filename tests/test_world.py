@@ -168,7 +168,8 @@ class TestHashUnderMovement:
             self._check(world, radius)
         # the block tuples alias the live member lists, never copies of them
         for c, block in enumerate(world._neighbors):
-            assert all(m is world._members[n] for m, n in zip(world._blocks[c], block, strict=True))
+            assert all(members is world._members[nb]
+                       for members, nb in zip(world._blocks[c], block, strict=True))
 
     @staticmethod
     def _check(world, radius):
