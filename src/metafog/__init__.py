@@ -42,7 +42,6 @@ from .infrastructure import (
     TierParams,
     Tier,
     Topology,
-    build_topology,
     build_user_topology,
     service_time_us,
     simulate_mm1,

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from pathlib import Path
 
+from .engine import MAX_EXPONENTIAL_MEANS
 from .errors import ConfigError
 
 # Default parameter set. The paper behind this architecture publishes no
@@ -78,23 +80,41 @@ DEFAULTS: dict = {
 
 
 def _is_num(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """A finite number. JSON as Python reads it admits Infinity and NaN."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def _is_rate(v) -> bool:
+    """A number >= 0 per second whose exponential gaps, in microseconds, are all finite."""
+    if not _is_num(v) or v < 0:
+        return False
+    if v == 0:
+        return True
+    rate_per_ms = v / 1000.0
+    return rate_per_ms > 0 and math.isfinite(MAX_EXPONENTIAL_MEANS / rate_per_ms * 1000)
 
 
 def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+_RATE = "0 or a finite number > 0 large enough that exponential gaps stay finite"
+
 # key path -> (checker, constraint description)
 _CHECKS = {
-    "world.width": (lambda v: _is_num(v) and v > 0, "number > 0"),
-    "world.height": (lambda v: _is_num(v) and v > 0, "number > 0"),
+    "world.width": (lambda v: _is_num(v) and v > 0, "finite number > 0"),
+    "world.height": (lambda v: _is_num(v) and v > 0, "finite number > 0"),
     "world.regions_x": (lambda v: _is_int(v) and v >= 1, "integer >= 1"),
     "world.regions_y": (lambda v: _is_int(v) and v >= 1, "integer >= 1"),
-    "world.cell": (lambda v: _is_num(v) and v > 0, "number > 0"),
-    "world.proximity_radius": (lambda v: _is_num(v) and v > 0, "number > 0"),
-    "world.avatar_speed": (lambda v: _is_num(v) and v >= 0, "number >= 0"),
-    "world.movement_tick_ms": (lambda v: _is_num(v) and v > 0, "number > 0"),
+    "world.cell": (lambda v: _is_num(v) and v > 0, "finite number > 0"),
+    "world.proximity_radius": (lambda v: _is_num(v) and v > 0, "finite number > 0"),
+    "world.avatar_speed": (lambda v: _is_num(v) and v >= 0, "finite number >= 0"),
+    "world.movement_tick_ms": (lambda v: _is_num(v) and v > 0, "finite number > 0"),
     "topology.devices_per_fog": (lambda v: _is_int(v) and v >= 1, "integer >= 1"),
     "topology.edges_per_region": (lambda v: _is_int(v) and v >= 1, "integer >= 1"),
     "topology.device_mips": (lambda v: _is_int(v) and v > 0, "integer > 0"),
@@ -102,18 +122,18 @@ _CHECKS = {
     "topology.edge_mips": (lambda v: _is_int(v) and v > 0, "integer > 0"),
     "topology.cloud_mips": (lambda v: _is_int(v) and v > 0, "integer > 0"),
     "workload.user_count": (lambda v: _is_int(v) and v >= 1, "integer >= 1"),
-    "workload.message_rate_per_user_per_s": (lambda v: _is_num(v) and v >= 0, "number >= 0"),
-    "workload.tx_rate_per_user_per_s": (lambda v: _is_num(v) and v >= 0, "number >= 0"),
+    "workload.message_rate_per_user_per_s": (_is_rate, _RATE),
+    "workload.tx_rate_per_user_per_s": (_is_rate, _RATE),
     "ledger.batch_size": (lambda v: _is_int(v) and v >= 1, "integer >= 1"),
     "ledger.tx_amount_max": (lambda v: _is_int(v) and v >= 1, "integer >= 1"),
-    "experiment.horizon_ms": (lambda v: _is_num(v) and v >= 0, "number >= 0"),
-    "experiment.warmup_ms": (lambda v: _is_num(v) and v >= 0, "number >= 0"),
+    "experiment.horizon_ms": (lambda v: _is_num(v) and v >= 0, "finite number >= 0"),
+    "experiment.warmup_ms": (lambda v: _is_num(v) and v >= 0, "finite number >= 0"),
     "experiment.replications": (lambda v: _is_int(v) and v >= 1, "integer >= 1"),
     "experiment.base_seed": (lambda v: _is_int(v) and 0 <= v < 2**64, "integer in [0, 2^64)"),
 }
 
 _LINK_CHECKS = {
-    "propagation_ms": (lambda v: _is_num(v) and v >= 0, "number >= 0"),
+    "propagation_ms": (lambda v: _is_num(v) and v >= 0, "finite number >= 0"),
     "bandwidth_mbps": (lambda v: _is_int(v) and v > 0, "integer > 0"),
 }
 
@@ -123,7 +143,7 @@ _PROFILE_CHECKS = {
     "per_neighbor_mi": (lambda v: _is_int(v) and v >= 0, "integer >= 0"),
     "upload_bytes": (lambda v: _is_int(v) and v >= 0, "integer >= 0"),
     "download_bytes": (lambda v: _is_int(v) and v >= 0, "integer >= 0"),
-    "period_ms": (lambda v: _is_num(v) and v > 0, "number > 0"),
+    "period_ms": (lambda v: _is_num(v) and v > 0, "finite number > 0"),
 }
 
 
@@ -137,6 +157,8 @@ def _deep_merge(base: dict, override: dict, path: str) -> dict:
             if not isinstance(value, dict):
                 raise ConfigError(f"config key {here!r} must be a section (object)")
             merged[key] = _deep_merge(base[key], value, here)
+        elif isinstance(value, dict):
+            raise ConfigError(f"config key {here!r} must be a value, not a section")
         else:
             merged[key] = value
     return merged
@@ -191,7 +213,7 @@ def resolve_config(overrides: dict | None = None) -> dict:
             raise ConfigError(f"config key 'experiment.{name}': must be a non-empty list")
         for v in values:
             if not _is_num(v) or v <= 0:
-                raise ConfigError(f"config key 'experiment.{name}': values must be numbers > 0")
+                raise ConfigError(f"config key 'experiment.{name}': values must be finite numbers > 0")
         if any(b <= a for a, b in zip(values, values[1:])):
             raise ConfigError(f"config key 'experiment.{name}': values must be strictly increasing")
         if name == "user_count_sweep" and not all(_is_int(v) for v in values):

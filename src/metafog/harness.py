@@ -350,6 +350,8 @@ class ScenarioRunner:
         self.tx_submitted = 0
         self._next_task_id = 0
         self._next_asset_id = 0
+        self._round_index = -1  # the movement round held in _round
+        self._round = None
         self._regions_y = world_cfg["regions_y"]
         self._universe_period_us = ms_to_us(wl["profiles"]["universe_simulation"]["period_ms"])
         self._msg_rate_per_ms = wl["message_rate_per_user_per_s"] / 1000.0
@@ -370,10 +372,9 @@ class ScenarioRunner:
     def _prime_events(self) -> None:
         n = self.n_users
         tick = self.tick_us
-        for u in range(n):
-            # stagger tick phases across users so arrivals are not lockstep bursts
-            phase = (u * tick) // n
-            self.engine.schedule(phase + tick, EV_MOVEMENT_TICK, u)
+        # stagger tick phases across users so arrivals are not lockstep bursts
+        self._tick_offsets = [(u * tick) // n + tick for u in range(n)]
+        self.engine.lane(EV_MOVEMENT_TICK, self._tick_offsets, tick)
         if self._msg_rate_per_ms > 0:
             msg_stream = self.streams[STREAM_MESSAGING]
             for u in range(n):
@@ -388,15 +389,47 @@ class ScenarioRunner:
 
     # -- event handlers ----------------------------------------------------
 
-    def _on_movement_tick(self, now: int, user: int) -> None:
+    def _on_movement_tick(self, lo: int, hi: int) -> None:
+        """Lane firings lo..hi-1: firing r * n + u is user u's tick in round r.
+
+        A round's positions are computed once, when its first tick comes due;
+        each tick then writes its avatar, keeps the spatial hash current and
+        submits the navigation and collision tasks.
+        """
         world = self.world
-        world.tick_avatar(user, self.dt_s)
-        pipeline = self.pipeline
+        avatars = world.avatars
+        cell_of = world._cell_of
+        nbsum = world._nbsum
+        submit = self.pipeline.submit
+        offsets = self._tick_offsets
+        n = self.n_users
         tid = self._next_task_id
-        self._next_task_id = tid + 2
-        pipeline.submit(tid, 0, user, now)
-        pipeline.submit(tid + 1, 1, user, now, 0, world.collision_candidates(user))
-        self.engine.schedule(now + self.tick_us, EV_MOVEMENT_TICK, user)
+        r, u = divmod(lo, n)
+        while lo < hi:
+            if r != self._round_index:
+                self._round = world.next_round(self.dt_s)
+                self._round_index = r
+            xs, ys, wxs, wys, regions, cells = self._round
+            base = r * self.tick_us
+            end = min(n, u + hi - lo)
+            for user in range(u, end):
+                avatar = avatars[user]
+                avatar.x = xs[user]
+                avatar.y = ys[user]
+                avatar.wx = wxs[user]
+                avatar.wy = wys[user]
+                avatar.region = regions[user]
+                c = cells[user]
+                if c != cell_of[user]:
+                    world.rebucket(avatar, c)
+                now = base + offsets[user]
+                submit(tid, 0, user, now)
+                submit(tid + 1, 1, user, now, 0, nbsum[c] - 1)
+                tid += 2
+            lo += end - u
+            r += 1
+            u = 0
+        self._next_task_id = tid
 
     def _on_message_send(self, now: int, user: int) -> None:
         stream = self.streams[STREAM_MESSAGING]

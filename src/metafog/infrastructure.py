@@ -326,40 +326,6 @@ def _link_args(params: TierParams) -> list[tuple[int, int]]:
             for hop in (params.device_fog, params.fog_edge, params.edge_cloud)]
 
 
-def build_topology(
-    regions: list[tuple[int, int]],
-    params: TierParams,
-    *,
-    edges_per_region: int = 1,
-    fogs_per_edge: int = 1,
-    devices_per_fog: int = 1,
-) -> Topology:
-    """Build a regular tree: cloud, then per region edges, fogs and devices.
-
-    Node ids are deterministic: cloud, edge-RX-RY[-k], fog-<edge>-<i>,
-    dev-<fog>-<j>.
-    """
-    if edges_per_region < 1 or fogs_per_edge < 1 or devices_per_fog < 1:
-        raise TopologyError("edges_per_region, fogs_per_edge and devices_per_fog must be >= 1")
-    device_fog, fog_edge, edge_cloud = _link_args(params)
-    nodes = [NetworkNode("cloud", Tier.CLOUD_SERVER, params.cloud_mips)]
-    links: list[Link] = []
-    for rx, ry in regions:
-        for k in range(edges_per_region):
-            edge_id = f"edge-{rx}-{ry}" if edges_per_region == 1 else f"edge-{rx}-{ry}-{k}"
-            nodes.append(NetworkNode(edge_id, Tier.EDGE_SERVER, params.edge_mips, (rx, ry), "cloud"))
-            links.append(Link(edge_id, "cloud", *edge_cloud))
-            for i in range(fogs_per_edge):
-                fog_id = f"fog-{edge_id}-{i}"
-                nodes.append(NetworkNode(fog_id, Tier.FOG_SERVER, params.fog_mips, None, edge_id))
-                links.append(Link(fog_id, edge_id, *fog_edge))
-                for j in range(devices_per_fog):
-                    dev_id = f"dev-{fog_id}-{j}"
-                    nodes.append(NetworkNode(dev_id, Tier.END_DEVICE, params.device_mips, None, fog_id))
-                    links.append(Link(dev_id, fog_id, *device_fog))
-    return Topology(nodes, links)
-
-
 def simulate_mm1(arrival_rate_per_ms: float, service_rate_per_ms: float,
                  n_tasks: int, seed: int) -> dict:
     """Drive one FIFO compute queue with Poisson arrivals and exponential service.

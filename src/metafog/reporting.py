@@ -90,27 +90,26 @@ _FIG_FILE = {"user_count": "fig_latency_vs_users.dat",
              "tx_rate": "fig_latency_vs_tx_rate.dat"}
 
 
+def _mean_ms_by_value(results: list[ScenarioResult], metric: str) -> dict:
+    """{value: {policy: mean_ms}}, in value order: the metric's mean latency per
+    (value, policy), averaged over replications; results without it are left out."""
+    acc: dict = {}
+    for r in results:
+        stats = r.stats.get(metric)
+        if stats is None or stats.mean_us is None:
+            continue
+        acc.setdefault(r.value, {}).setdefault(r.policy, []).append(stats.mean_us)
+    return {value: {policy: sum(means) / len(means) / 1000 for policy, means in acc[value].items()}
+            for value in sorted(acc)}
+
+
 def plot_series(results: list[ScenarioResult], param: str) -> list[tuple]:
     """(value, cloudonly mean_ms, fogedge mean_ms) per swept value, averaged over reps."""
     metric = _FIG_METRIC.get(param)
     if metric is None:
         raise ConfigError(f"no figure is defined for parameter {param!r}")
-    acc: dict[tuple, dict[str, list[int]]] = {}
-    for r in results:
-        stats = r.stats.get(metric)
-        if stats is None or stats.mean_us is None:
-            continue
-        acc.setdefault((r.value,), {}).setdefault(r.policy, []).append(stats.mean_us)
-    rows = []
-    for (value,), per_policy in sorted(acc.items()):
-        cloud = per_policy.get("cloudonly", [])
-        fog = per_policy.get("fogedge", [])
-        rows.append((
-            value,
-            sum(cloud) / len(cloud) / 1000 if cloud else float("nan"),
-            sum(fog) / len(fog) / 1000 if fog else float("nan"),
-        ))
-    return rows
+    return [(value, means.get("cloudonly", float("nan")), means.get("fogedge", float("nan")))
+            for value, means in _mean_ms_by_value(results, metric).items()]
 
 
 def write_plot_data(results: list[ScenarioResult], param: str, path: str | Path) -> None:
@@ -183,21 +182,11 @@ def emit(results: list[ScenarioResult], out_dir: str | Path, cfg: dict,
 
 def reduction_table(results: list[ScenarioResult]) -> str:
     """Cloud-vs-fogedge mean latency and reduction per swept value."""
-    by_value: dict = {}
-    for r in results:
-        stats = r.stats.get("overall")
-        if stats is None or stats.mean_us is None:
-            continue
-        by_value.setdefault(r.value, {}).setdefault(r.policy, []).append(stats.mean_us)
     lines = [f"{'value':>10}  {'cloud_ms':>14}  {'fogedge_ms':>14}  {'reduction':>10}"]
-    for value in sorted(by_value):
-        per_policy = by_value[value]
-        cloud = per_policy.get("cloudonly")
-        fog = per_policy.get("fogedge")
-        if not cloud or not fog:
+    for value, means in _mean_ms_by_value(results, "overall").items():
+        if "cloudonly" not in means or "fogedge" not in means:
             continue
-        cloud_ms = sum(cloud) / len(cloud) / 1000
-        fog_ms = sum(fog) / len(fog) / 1000
+        cloud_ms, fog_ms = means["cloudonly"], means["fogedge"]
         red = latency_reduction(cloud_ms, fog_ms)
         lines.append(f"{value_label(value):>10}  {cloud_ms:>14.3f}  {fog_ms:>14.3f}  {red:>9.1%}")
     return "\n".join(lines)

@@ -7,6 +7,10 @@ collision-candidate counts a 3x3 cell scan: the linked-cell method (Allen &
 Tildesley, *Computer Simulation of Liquids*, 1987, section 5.3.2). Each cell
 holds its Avatar objects, and each cell's 3x3 block of member lists is built
 once, so a query walks avatars directly rather than looking up user ids.
+
+A simulation run moves every avatar once per round. World.next_round computes
+a whole round in numpy, with the IEEE operations of movement_tick, and the
+caller applies it one avatar at a time as the avatars' ticks come due.
 """
 
 from __future__ import annotations
@@ -14,6 +18,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
+
+import numpy as np
 
 from .engine import RngStream
 from .errors import ConfigError, SimulationError
@@ -104,6 +111,17 @@ def movement_tick(avatar: Avatar, dt_s: float, rng: RngStream, grid: WorldGrid) 
     return avatar
 
 
+class Round(NamedTuple):
+    """Each avatar's state after a round of ticks, indexed by user."""
+
+    x: list[float]
+    y: list[float]
+    wx: list[float]
+    wy: list[float]
+    region: list[tuple[int, int]]
+    cell: list[int]
+
+
 class World:
     """All avatars plus the spatial hash that serves proximity queries.
 
@@ -149,6 +167,8 @@ class World:
             self._cell_of.append(c)
             members[c].append(avatar)
         self._nbsum = [sum(map(len, block)) for block in self._blocks]
+        self._state: tuple[np.ndarray, ...] | None = None  # x, y, wx, wy, speed after the last round
+        self._regions = grid.all_regions()  # region index rx * regions_y + ry -> (rx, ry)
 
     def _cell_index(self, x: float, y: float) -> int:
         cx = int(x / self.grid.cell)
@@ -174,17 +194,70 @@ class World:
         if cy >= ncy:
             cy = ncy - 1
         c = cx * ncy + cy
-        old = self._cell_of[user]
-        if c != old:
-            self._members[old].remove(avatar)
-            self._members[c].append(avatar)
-            self._cell_of[user] = c
-            nbsum = self._nbsum
-            for n in self._neighbors[old]:
-                nbsum[n] -= 1
-            for n in self._neighbors[c]:
-                nbsum[n] += 1
+        if c != self._cell_of[user]:
+            self.rebucket(avatar, c)
         return avatar
+
+    def rebucket(self, avatar: Avatar, c: int) -> None:
+        """Move an avatar that has crossed into cell c out of its old cell."""
+        user = avatar.user
+        old = self._cell_of[user]
+        self._members[old].remove(avatar)
+        self._members[c].append(avatar)
+        self._cell_of[user] = c
+        nbsum = self._nbsum
+        for n in self._neighbors[old]:
+            nbsum[n] -= 1
+        for n in self._neighbors[c]:
+            nbsum[n] += 1
+
+    def next_round(self, dt_s: float) -> Round:
+        """Every avatar's state after one more tick of dt_s, computed but not applied.
+
+        The result equals what tick_avatar gives when every avatar ticks once,
+        in user order, from the end of the previous round: the same IEEE
+        operations run element-wise, and arriving avatars draw their new
+        waypoints (x then y) from the movement stream in user order. The first
+        round starts from the avatars; each later one from the round before,
+        so a world moves either by rounds or by tick_avatar, never both. The
+        caller writes each avatar and calls rebucket on a cell crossing when
+        that avatar's tick comes due.
+        """
+        if dt_s <= 0:
+            raise SimulationError("a movement round requires dt > 0")
+        grid = self.grid
+        if self._state is None:
+            self._state = tuple(np.array([getattr(a, f) for a in self.avatars], dtype=float)
+                                for f in ("x", "y", "wx", "wy", "speed"))
+        x, y, wx, wy, speed = self._state
+        step = speed * dt_s
+        dx = wx - x
+        dy = wy - y
+        dist = np.sqrt(dx * dx + dy * dy)
+        arrive = dist <= step
+        move = ~arrive
+        nx = wx.copy()  # an arrival is capped exactly on its waypoint
+        ny = wy.copy()
+        nx[move] = x[move] + (dx[move] / dist[move]) * step[move]
+        ny[move] = y[move] + (dy[move] / dist[move]) * step[move]
+        redraw = np.flatnonzero(arrive & (step > 0.0))
+        if redraw.size:
+            draw = self.rng.random
+            xy = np.array([draw() for _ in range(2 * redraw.size)]).reshape(-1, 2)
+            wx = wx.copy()
+            wy = wy.copy()
+            wx[redraw] = xy[:, 0] * grid.width
+            wy[redraw] = xy[:, 1] * grid.height
+        if (nx < 0).any() or (ny < 0).any() or (nx > grid.width).any() or (ny > grid.height).any():
+            raise SimulationError("a movement round left the world bounds")
+        self._state = (nx, ny, wx, wy, speed)
+        rx = np.minimum((nx / grid.region_width).astype(np.int64), grid.regions_x - 1)
+        ry = np.minimum((ny / grid.region_height).astype(np.int64), grid.regions_y - 1)
+        cx = np.minimum((nx / grid.cell).astype(np.int64), self.ncx - 1)
+        cy = np.minimum((ny / grid.cell).astype(np.int64), self.ncy - 1)
+        return Round(nx.tolist(), ny.tolist(), wx.tolist(), wy.tolist(),
+                     list(map(self._regions.__getitem__, (rx * grid.regions_y + ry).tolist())),
+                     (cx * self.ncy + cy).tolist())
 
     def collision_candidates(self, user: int) -> int:
         """Number of other avatars in the 3x3 cell neighborhood."""

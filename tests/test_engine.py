@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metafog.engine import (
     EVENT_KIND_NAMES,
@@ -12,7 +14,7 @@ from metafog.engine import (
     draw_exponential,
     ms_to_us,
 )
-from metafog.errors import ConfigError, EventInPastError
+from metafog.errors import ConfigError, EventInPastError, SimulationError
 
 
 def collecting_engine():
@@ -173,3 +175,133 @@ def test_ms_to_us_is_exact_for_decimal_milliseconds():
     # the float product is one microsecond high for 16.1, 32.2, 32.7, 64.4, 64.9 and 65.4
     for tenths in range(1, 1000):
         assert ms_to_us(tenths / 10) == tenths * 100, tenths / 10
+
+
+LANE = 1  # the lane's kind in the tests below; heap events use kind 0
+
+
+@st.composite
+def lane_workloads(draw):
+    """Lane offsets, heap events and horizons, with many heap events on lane times.
+
+    Each heap event is (fire_at, children): dispatching it schedules an event
+    at each child time. Child times are at or after the parent, often on a
+    lane firing, and sometimes at the parent's own time.
+    """
+    period = draw(st.integers(1, 40), label="period")
+    n = draw(st.integers(1, 60), label="members")  # n > period gives equal offsets
+    first = draw(st.integers(0, 30), label="first")
+    offsets = sorted(draw(st.lists(st.integers(first, first + period - 1),
+                                   min_size=n, max_size=n), label="offsets"))
+    end = first + 6 * period
+
+    def lane_time(t_min):
+        u = draw(st.integers(0, n - 1))
+        r = max(0, -(-(t_min - offsets[u]) // period)) + draw(st.integers(0, 3))
+        return offsets[u] + r * period
+
+    def event_time(t_min):
+        if draw(st.booleans()):
+            return lane_time(t_min)
+        return t_min + draw(st.integers(0, 2 * period))
+
+    def events(t_min, depth):
+        out = []
+        for _ in range(draw(st.integers(0, 6 if depth == 0 else 2))):
+            t = event_time(t_min)
+            out.append((t, tuple(events(t, depth + 1)) if depth < 2 else ()))
+        return out
+
+    before = events(0, 0)  # scheduled before the lane is set up
+    after = events(first, 0)
+    horizons = sorted(draw(st.lists(st.integers(0, end), max_size=4))) + [end]
+    return period, offsets, before, after, horizons
+
+
+def _run_lane_workload(period, offsets, before, after, horizons, use_lane):
+    """Transcript, dispatched lane members and counters; with or without a lane."""
+    engine = Engine()
+    transcript = []
+    members = []
+    counters = []
+    engine.trace = lambda t, seq, kind: transcript.append((t, seq, kind))
+
+    def on_event(now, children):
+        for t, grandchildren in children:
+            engine.schedule(t, 0, grandchildren)
+
+    engine.on(0, on_event)
+    if use_lane:
+        engine.on(LANE, lambda lo, hi: members.extend(i % len(offsets) for i in range(lo, hi)))
+    else:
+        def on_firing(now, u):
+            members.append(u)
+            engine.schedule(now + period, LANE, u)
+
+        engine.on(LANE, on_firing)
+    for t, children in before:
+        engine.schedule(t, 0, children)
+    if use_lane:
+        engine.lane(LANE, offsets, period)
+    else:
+        for u, t in enumerate(offsets):
+            engine.schedule(t, LANE, u)
+    for t, children in after:
+        engine.schedule(t, 0, children)
+    for horizon in horizons:
+        if horizon >= engine.now:
+            counters.append((engine.next_event[:2], engine.run_until(horizon)))
+        counters.append((engine.scheduled_count, engine.dispatched_count,
+                         engine.queued_count, engine.accounting_ok()))
+    return transcript, members, counters
+
+
+class TestLane:
+    @settings(max_examples=300, deadline=None)
+    @given(lane_workloads())
+    def test_lane_dispatches_exactly_as_rescheduled_heap_events(self, workload):
+        assert _run_lane_workload(*workload, use_lane=True) == \
+            _run_lane_workload(*workload, use_lane=False)
+
+    def test_ties_follow_sequence_numbers(self):
+        # Member 0 fires at 10, 20, ... An event scheduled before the lane at
+        # 20 precedes the firing at 20, whose number comes from the firing at
+        # 10; one scheduled after the lane at 10 follows the firing at 10.
+        engine = Engine()
+        seen = []
+        engine.on(0, lambda now, tag: seen.append(tag))
+        engine.on(LANE, lambda lo, hi: seen.extend(("tick", i) for i in range(lo, hi)))
+        engine.schedule(20, 0, "early")
+        engine.lane(LANE, [10], 10)
+        engine.schedule(10, 0, "late")
+        engine.run_until(25)
+        assert seen == [("tick", 0), "late", "early", ("tick", 1)]
+        assert engine.dispatched_count == 4 and engine.scheduled_count == 5
+        assert engine.queued_count == 1 and engine.accounting_ok()
+
+    def test_a_run_goes_to_the_handler_in_one_call(self):
+        engine = Engine()
+        calls = []
+        engine.on(0, lambda now, payload: calls.append(payload))
+        engine.on(LANE, lambda lo, hi: calls.append((lo, hi)))
+        engine.lane(LANE, [5, 6, 7], 10)
+        engine.schedule(16, 0, "between")
+        engine.run_until(40)
+        assert calls == [(0, 4), "between", (4, 12)]
+
+    @pytest.mark.parametrize("offsets, period", [([3, 2], 10), ([0, 10], 10), ([1], 0)])
+    def test_bad_lanes_are_refused(self, offsets, period):
+        with pytest.raises(SimulationError):
+            Engine().lane(LANE, offsets, period)
+
+    def test_one_lane_per_engine(self):
+        engine = Engine()
+        engine.lane(LANE, [1], 5)
+        with pytest.raises(SimulationError):
+            engine.lane(LANE, [2], 5)
+
+    def test_lane_in_the_past_is_refused(self):
+        engine = Engine()
+        engine.run_until(100)
+        with pytest.raises(EventInPastError):
+            engine.lane(LANE, [99], 5)

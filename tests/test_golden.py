@@ -12,7 +12,7 @@ import pytest
 
 from metafog.config import resolve_config
 from metafog.harness import ScenarioRunner, sweep
-from metafog.reporting import emit
+from metafog.reporting import emit, reduction_table
 from metafog.workload import Policy
 
 SEED = 42
@@ -101,11 +101,22 @@ def scenario_digests(name: str, out) -> dict[str, str]:
     return _digests(emit([result], out, cfg, chain_lines=runner.chain.export_lines()))
 
 
-def sweep_digests(out) -> dict[str, str]:
+# reduction_table of the SWEEP results, as `metafog report` prints it
+SWEEP_TABLE = (
+    "     value        cloud_ms      fogedge_ms   reduction\n"
+    "       200          51.686          11.068      78.6%\n"
+    "       600          62.601          11.859      81.1%"
+)
+
+
+@pytest.fixture(scope="module")
+def sweep_results():
     overrides, values = SWEEP
-    cfg = resolve_config(overrides)
-    results = sweep(overrides, "user_count", values, replications=1)
-    return _digests(emit(results, out, cfg, param="user_count"))
+    return sweep(overrides, "user_count", values, replications=1)
+
+
+def sweep_digests(results, out) -> dict[str, str]:
+    return _digests(emit(results, out, resolve_config(SWEEP[0]), param="user_count"))
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
@@ -113,5 +124,9 @@ def test_scenario_outputs_match_golden(name, tmp_path):
     assert scenario_digests(name, tmp_path) == GOLDEN[name]
 
 
-def test_sweep_tree_matches_golden(tmp_path):
-    assert sweep_digests(tmp_path) == GOLDEN["sweep-users"]
+def test_sweep_tree_matches_golden(sweep_results, tmp_path):
+    assert sweep_digests(sweep_results, tmp_path) == GOLDEN["sweep-users"]
+
+
+def test_sweep_reduction_table_matches_golden(sweep_results):
+    assert reduction_table(sweep_results) == SWEEP_TABLE

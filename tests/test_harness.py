@@ -1,7 +1,9 @@
 """Config validation, aggregation, sweeps, emission round-trips, CLI."""
 
 import json
+import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -81,6 +83,61 @@ class TestConfig:
             load_config(path)
 
 
+def _leaf_paths(section: dict, prefix: str = "") -> list[str]:
+    paths = []
+    for key, value in section.items():
+        here = f"{prefix}{key}"
+        paths += _leaf_paths(value, here + ".") if isinstance(value, dict) else [here]
+    return paths
+
+
+def _nest(path: str, value) -> dict:
+    for key in reversed(path.split(".")):
+        value = {key: value}
+    return value
+
+
+# Bad for every leaf: each leaf is a number, an integer or a list of numbers,
+# and each must be >= 0.
+ALWAYS_BAD = st.sampled_from([None, "1", True, False, {}, {"length_mi": 5}, math.inf,
+                              -math.inf, math.nan, -1, -0.5, [], [math.inf], ["1"], [0]])
+# Bad for some leaves only.
+MAYBE_BAD = st.sampled_from([0, 0.0, 0.5, 1e-320, 1e308, 10**400, 2**64, [1, 2], [2, 1],
+                             [1e-320], [0.5, 10**400]])
+
+
+class TestConfigLeaves:
+    @settings(max_examples=400, deadline=None)
+    @given(path=st.sampled_from(_leaf_paths(DEFAULTS)), bad=ALWAYS_BAD, maybe=MAYBE_BAD,
+           always=st.booleans())
+    def test_every_bad_leaf_is_a_config_error_that_names_it(self, path, bad, maybe, always):
+        value = bad if always else maybe
+        try:
+            resolve_config(_nest(path, value))
+        except ConfigError as exc:
+            assert path in str(exc)
+        else:
+            assert not always, f"{path} = {value!r} accepted"
+
+    @pytest.mark.parametrize("path, value", [
+        ("experiment.horizon_ms", math.inf),
+        ("world.width", math.inf),
+        ("world.avatar_speed", math.inf),
+        ("world.cell", math.nan),
+        ("topology.links.edge_cloud.propagation_ms", math.inf),
+        ("workload.message_rate_per_user_per_s", 1e-320),
+        ("workload.tx_rate_per_user_per_s", 1e-302),
+        ("world.height", 10**400),
+    ])
+    def test_non_finite_and_overflowing_values_are_refused(self, path, value):
+        with pytest.raises(ConfigError, match=path):
+            resolve_config(_nest(path, value))
+
+    def test_the_smallest_rates_with_finite_gaps_are_accepted(self):
+        resolve_config({"workload": {"tx_rate_per_user_per_s": 1e-300,
+                                     "message_rate_per_user_per_s": 0}})
+
+
 class TestPercentile:
     def test_nearest_rank_examples(self):
         assert percentile([10, 20, 30, 40], 50) == 20
@@ -99,6 +156,15 @@ class TestPercentile:
             values = sorted(rng.randrange(10_000) for _ in range(rng.randrange(1, 50)))
             p50, p95, p99 = (percentile(values, p) for p in (50, 95, 99))
             assert values[0] <= p50 <= p95 <= p99 <= values[-1]
+
+    @given(values=st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=300),
+           quarters=st.integers(0, 400))
+    def test_matches_a_nearest_rank_oracle(self, values, quarters):
+        # p in quarter percents is exact in binary, so the oracle can be exact too
+        p = quarters / 4
+        ordered = sorted(values)
+        rank = max(1, math.ceil(Fraction(quarters, 400) * len(ordered)))
+        assert percentile(ordered, p) == ordered[rank - 1]
 
 
 class TestLatencyReduction:
@@ -382,6 +448,22 @@ class TestCli:
                          "--seed", "1", "--out", str(tmp_path / "x")])
         assert code == 2
         assert "user_count" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, key", [
+        ('{"experiment": {"horizon_ms": Infinity}}', "experiment.horizon_ms"),
+        ('{"world": {"width": Infinity}}', "world.width"),
+        ('{"world": {"avatar_speed": Infinity}}', "world.avatar_speed"),
+        ('{"workload": {"message_rate_per_user_per_s": 1e-320}}',
+         "workload.message_rate_per_user_per_s"),
+        ('{"world": {"cell": NaN}}', "world.cell"),
+    ])
+    def test_non_finite_and_overflowing_values_exit_2(self, text, key, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        code = cli_main(["run", "--config", str(bad), "--policy", "cloud",
+                         "--seed", "1", "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert key in capsys.readouterr().err
 
     def test_sweep_names_the_scenario_that_fails(self, cfg_file, tmp_path, capsys):
         code = cli_main(["sweep", "--config", str(cfg_file), "--param", "user_count",

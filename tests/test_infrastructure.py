@@ -14,7 +14,7 @@ from metafog.infrastructure import (
     Tier,
     TierParams,
     Topology,
-    build_topology,
+    build_user_topology,
     fifo_completions,
     service_time_us,
     simulate_mm1,
@@ -45,7 +45,7 @@ PROFILES = {
 
 def minimal_chain():
     """One device under one fog under one edge under the cloud."""
-    return build_topology([(0, 0)], PARAMS)
+    return build_user_topology([(0, 0)], [(0, 0)], PARAMS)[0]
 
 
 class TestBuildTopology:
@@ -56,7 +56,9 @@ class TestBuildTopology:
 
     def test_regular_two_region_tree_has_fifteen_nodes(self):
         # cloud + 2 regions x (1 edge + 2 fogs + 4 devices) = 1 + 2*7
-        topo = build_topology([(0, 0), (1, 0)], PARAMS, fogs_per_edge=2, devices_per_fog=2)
+        regions = [(0, 0), (1, 0)]
+        topo, _, _ = build_user_topology([r for r in regions for _ in range(4)], regions,
+                                         PARAMS, devices_per_fog=2)
         assert topo.node_count() == 15
         tiers = [topo.node(n).tier for n in topo.nodes_by_id]
         assert tiers.count(Tier.EDGE_SERVER) == 2
@@ -149,7 +151,8 @@ class TestPath:
             topo.path("nowhere", "cloud")
 
     def test_sibling_path_goes_through_common_ancestor(self):
-        topo = build_topology([(0, 0)], PARAMS, fogs_per_edge=2)
+        # two users, one device per fog: two sibling fogs under the one edge
+        topo, _, _ = build_user_topology([(0, 0)] * 2, [(0, 0)], PARAMS, devices_per_fog=1)
         fogs = sorted(n for n in topo.nodes_by_id if topo.node(n).tier == Tier.FOG_SERVER)
         path = topo.path(fogs[0], fogs[1])
         assert len(path) == 2  # up to the edge, down to the sibling
@@ -171,6 +174,15 @@ class TestTransferTime:
     def test_transmission_rounds_up(self):
         link = Link("a", "b", 0, 1_000)
         assert transfer_time(1, [link]) == 1  # 8 bits / 1000 Mbps -> ceil to 1 us
+
+    @given(route=st.lists(st.builds(Link, st.just("a"), st.just("b"), st.integers(0, 10**6),
+                                    st.integers(1, 10**5)), max_size=6),
+           payloads=st.tuples(st.integers(0, 10**8), st.integers(0, 10**8)),
+           hops=st.integers(0, 6))
+    def test_monotone_in_payload_and_hop_count(self, route, payloads, hops):
+        small, large = sorted(payloads)
+        assert transfer_time(small, route) <= transfer_time(large, route)
+        assert transfer_time(large, route[:hops]) <= transfer_time(large, route)
 
 
 def serve(busy_until, arrivals, services, server=0):

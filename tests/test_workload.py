@@ -10,9 +10,7 @@ from metafog.errors import ConfigError
 from metafog.harness import run_scenario
 from metafog.infrastructure import (
     LinkParams,
-    Tier,
     TierParams,
-    build_topology,
     build_user_topology,
     service_time_us,
 )
@@ -29,10 +27,10 @@ def small_cfg(**workload):
 
 class TestPlacementTable:
     def setup_method(self):
-        self.topo = build_topology([(0, 0), (1, 1)], TierParams(), fogs_per_edge=1,
-                                   devices_per_fog=2)
-        self.fog = next(n for n in self.topo.nodes_by_id
-                        if self.topo.node(n).tier == Tier.FOG_SERVER)
+        # one user, so one fog, in each of two regions
+        regions = [(0, 0), (1, 1)]
+        self.topo, _, fogs = build_user_topology(regions, regions, TierParams())
+        self.fog = fogs[0]
 
     def place(self, kind, policy=Policy.FOG_EDGE, region=None):
         return place(kind, policy, self.topo, self.fog, region=region, owner=3)

@@ -7,8 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from metafog.config import resolve_config
 from metafog.engine import RngStream
 from metafog.errors import ConfigError, SimulationError
+from metafog.harness import ScenarioRunner
+from metafog.workload import Policy
 from metafog.world import Avatar, World, WorldGrid, movement_tick, region_of
 
 GRID = WorldGrid(1000.0, 1000.0, 10, 10, 40.0)
@@ -217,3 +220,70 @@ def test_world_tick_equals_scalar_movement_tick():
         real = world.avatars[0]
         assert (real.x, real.y, real.wx, real.wy) == (mirror.x, mirror.y, mirror.wx, mirror.wy)
         assert real.region == mirror.region
+
+
+class TestMovementRounds:
+    """The runner's round path against one tick_avatar call per firing."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 40), width=st.floats(1.0, 300.0),
+           height=st.floats(1.0, 300.0), regions=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+           cell_share=st.floats(0.05, 1.0), tick_ms=st.sampled_from([0.001, 0.25, 1000.0, 7.5]),
+           seed=st.integers(0, 1_000))
+    def test_rounds_equal_repeated_tick_avatar(self, data, n, width, height, regions,
+                                               cell_share, tick_ms, seed):
+        cell = cell_share * min(width, height)
+        cfg = resolve_config({
+            "world": {"width": width, "height": height, "regions_x": regions[0],
+                      "regions_y": regions[1], "cell": cell, "proximity_radius": cell,
+                      "movement_tick_ms": tick_ms},
+            "workload": {"user_count": n, "message_rate_per_user_per_s": 0.0,
+                         "tx_rate_per_user_per_s": 0.0},
+            "experiment": {"horizon_ms": 0.0, "warmup_ms": 0.0},
+        })
+        runner = ScenarioRunner(cfg, Policy.FOG_EDGE, seed)
+        world = runner.world
+        mirror = World(runner.grid, n, 1.0, RngStream(seed, "movement"))
+        dt_s = runner.dt_s
+        # Speeds as a share of the width per tick: 0 stays put, above 1 arrives
+        # on every tick and draws a fresh waypoint.
+        shares = data.draw(st.lists(st.sampled_from([0.0, 0.01, 0.3, 1.5]),
+                                    min_size=n, max_size=n), label="speed shares")
+        for a, b, share in zip(world.avatars, mirror.avatars, shares):
+            a.speed = b.speed = share * width / dt_s
+        pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        for k, j in data.draw(st.lists(pairs, max_size=n), label="colocate"):
+            for w in (world, mirror):
+                src, dst = w.avatars[j], w.avatars[k]
+                dst.x, dst.y, dst.wx, dst.wy = src.x, src.y, src.wx, src.wy
+        firings = data.draw(st.integers(1, 5 * n), label="firings")
+        cuts = sorted(set(data.draw(st.lists(st.integers(1, firings)), label="cuts"))
+                      | {firings})
+        tick = runner.tick_us
+        expected = []
+        lo = 0
+        for hi in cuts:
+            runner._on_movement_tick(lo, hi)
+            for i in range(lo, hi):
+                r, u = divmod(i, n)
+                mirror.tick_avatar(u, dt_s)
+                created = (u * tick) // n + (r + 1) * tick
+                expected += [(0, u, created, 0), (1, u, created, mirror.collision_candidates(u))]
+            lo = hi
+            assert self._state(world) == self._state(mirror)
+            if hi % n == 0:
+                assert world.rng._rng.getstate() == mirror.rng._rng.getstate()
+        rows = [tuple(runner.pipeline._buffer[f] for f in range(i, i + 7))
+                for i in range(0, len(runner.pipeline._buffer), 7)]
+        assert [(kind, owner, created, cand) for _, _, kind, owner, created, _, cand in rows] \
+            == expected
+
+    @staticmethod
+    def _state(world):
+        return ([(a.x, a.y, a.wx, a.wy, a.region) for a in world.avatars],
+                [[a.user for a in members] for members in world._members],
+                world._cell_of, world._nbsum)
+
+    def test_round_refuses_non_positive_dt(self):
+        with pytest.raises(SimulationError):
+            World(GRID, 3, 1.0, RngStream(1, "movement")).next_round(0.0)
