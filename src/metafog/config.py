@@ -213,7 +213,8 @@ def resolve_config(overrides: dict | None = None) -> dict:
             raise ConfigError(f"config key 'experiment.{name}': must be a non-empty list")
         for v in values:
             if not _is_num(v) or v <= 0:
-                raise ConfigError(f"config key 'experiment.{name}': values must be finite numbers > 0")
+                raise ConfigError(
+                    f"config key 'experiment.{name}': values must be finite numbers > 0")
         if any(b <= a for a, b in zip(values, values[1:])):
             raise ConfigError(f"config key 'experiment.{name}': values must be strictly increasing")
         if name == "user_count_sweep" and not all(_is_int(v) for v in values):

@@ -167,7 +167,8 @@ class World:
             self._cell_of.append(c)
             members[c].append(avatar)
         self._nbsum = [sum(map(len, block)) for block in self._blocks]
-        self._state: tuple[np.ndarray, ...] | None = None  # x, y, wx, wy, speed after the last round
+        # x, y, wx, wy and speed arrays after the last round, from the first next_round
+        self._state: tuple[np.ndarray, ...] | None = None
         self._regions = grid.all_regions()  # region index rx * regions_y + ry -> (rx, ry)
 
     def _cell_index(self, x: float, y: float) -> int:
