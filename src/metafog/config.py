@@ -14,7 +14,7 @@ import json
 import math
 from pathlib import Path
 
-from .engine import MAX_EXPONENTIAL_MEANS
+from .engine import MAX_EXPONENTIAL_MEANS, ms_to_us
 from .errors import ConfigError
 
 # Default parameter set. The paper behind this architecture publishes no
@@ -103,7 +103,29 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+# Times in microseconds, payloads in bits, lengths in instructions and
+# capacities stay at most 2^53, so the sums a run forms from them fit int64.
+_MAX_EXACT = 2**53
+# The spatial hash builds every cell's member list and 3x3 block up front.
+_MAX_HASH_CELLS = 2**20
+
+
+def _is_time(v) -> bool:
+    """Milliseconds: a finite number >= 0 that is at most 2^53 microseconds."""
+    return _is_num(v) and v >= 0 and ms_to_us(v) <= _MAX_EXACT
+
+
+def _is_scaled(v, scale: int, low: int) -> bool:
+    """An integer >= low whose value times scale is at most 2^53."""
+    return _is_int(v) and v >= low and v * scale <= _MAX_EXACT
+
+
 _RATE = "0 or a finite number > 0 large enough that exponential gaps stay finite"
+_TIME = "finite number >= 0, at most 2^53 us"
+_TIME_POSITIVE = "finite number > 0, at most 2^53 us"
+_POSITIVE_INT = "integer > 0, at most 2^53"
+_LENGTH = "integer > 0 with MI * 10^6 <= 2^53"
+_BYTES = "integer >= 0 with bytes * 8 <= 2^53"
 
 # key path -> (checker, constraint description)
 _CHECKS = {
@@ -114,36 +136,37 @@ _CHECKS = {
     "world.cell": (lambda v: _is_num(v) and v > 0, "finite number > 0"),
     "world.proximity_radius": (lambda v: _is_num(v) and v > 0, "finite number > 0"),
     "world.avatar_speed": (lambda v: _is_num(v) and v >= 0, "finite number >= 0"),
-    "world.movement_tick_ms": (lambda v: _is_num(v) and v > 0, "finite number > 0"),
+    "world.movement_tick_ms": (lambda v: _is_time(v) and v > 0, _TIME_POSITIVE),
     "topology.devices_per_fog": (lambda v: _is_int(v) and v >= 1, "integer >= 1"),
     "topology.edges_per_region": (lambda v: _is_int(v) and v >= 1, "integer >= 1"),
-    "topology.device_mips": (lambda v: _is_int(v) and v > 0, "integer > 0"),
-    "topology.fog_mips": (lambda v: _is_int(v) and v > 0, "integer > 0"),
-    "topology.edge_mips": (lambda v: _is_int(v) and v > 0, "integer > 0"),
-    "topology.cloud_mips": (lambda v: _is_int(v) and v > 0, "integer > 0"),
+    "topology.device_mips": (lambda v: _is_scaled(v, 1, 1), _POSITIVE_INT),
+    "topology.fog_mips": (lambda v: _is_scaled(v, 1, 1), _POSITIVE_INT),
+    "topology.edge_mips": (lambda v: _is_scaled(v, 1, 1), _POSITIVE_INT),
+    "topology.cloud_mips": (lambda v: _is_scaled(v, 1, 1), _POSITIVE_INT),
     "workload.user_count": (lambda v: _is_int(v) and v >= 1, "integer >= 1"),
     "workload.message_rate_per_user_per_s": (_is_rate, _RATE),
     "workload.tx_rate_per_user_per_s": (_is_rate, _RATE),
     "ledger.batch_size": (lambda v: _is_int(v) and v >= 1, "integer >= 1"),
     "ledger.tx_amount_max": (lambda v: _is_int(v) and v >= 1, "integer >= 1"),
-    "experiment.horizon_ms": (lambda v: _is_num(v) and v >= 0, "finite number >= 0"),
-    "experiment.warmup_ms": (lambda v: _is_num(v) and v >= 0, "finite number >= 0"),
+    "experiment.horizon_ms": (_is_time, _TIME),
+    "experiment.warmup_ms": (_is_time, _TIME),
     "experiment.replications": (lambda v: _is_int(v) and v >= 1, "integer >= 1"),
     "experiment.base_seed": (lambda v: _is_int(v) and 0 <= v < 2**64, "integer in [0, 2^64)"),
 }
 
 _LINK_CHECKS = {
-    "propagation_ms": (lambda v: _is_num(v) and v >= 0, "finite number >= 0"),
-    "bandwidth_mbps": (lambda v: _is_int(v) and v > 0, "integer > 0"),
+    "propagation_ms": (_is_time, _TIME),
+    "bandwidth_mbps": (lambda v: _is_scaled(v, 1, 1), _POSITIVE_INT),
 }
 
 _PROFILE_CHECKS = {
-    "length_mi": (lambda v: _is_int(v) and v > 0, "integer > 0"),
-    "base_length_mi": (lambda v: _is_int(v) and v > 0, "integer > 0"),
-    "per_neighbor_mi": (lambda v: _is_int(v) and v >= 0, "integer >= 0"),
-    "upload_bytes": (lambda v: _is_int(v) and v >= 0, "integer >= 0"),
-    "download_bytes": (lambda v: _is_int(v) and v >= 0, "integer >= 0"),
-    "period_ms": (lambda v: _is_num(v) and v > 0, "finite number > 0"),
+    "length_mi": (lambda v: _is_scaled(v, 10**6, 1), _LENGTH),
+    "base_length_mi": (lambda v: _is_scaled(v, 10**6, 1), _LENGTH),
+    "per_neighbor_mi": (lambda v: _is_scaled(v, 10**6, 0),
+                        "integer >= 0 with MI * 10^6 <= 2^53"),
+    "upload_bytes": (lambda v: _is_scaled(v, 8, 0), _BYTES),
+    "download_bytes": (lambda v: _is_scaled(v, 8, 0), _BYTES),
+    "period_ms": (lambda v: _is_time(v) and v > 0, _TIME_POSITIVE),
 }
 
 
@@ -200,6 +223,14 @@ def resolve_config(overrides: dict | None = None) -> dict:
             "config key 'world.proximity_radius' "
             f"= {world['proximity_radius']!r}: must be <= world.cell "
             f"({world['cell']!r}) so neighbor search stays a 3x3 cell scan"
+        )
+    sides = [world[side] / world["cell"] for side in ("width", "height")]
+    if max(sides) > _MAX_HASH_CELLS or \
+            math.prod(max(1, math.ceil(n)) for n in sides) > _MAX_HASH_CELLS:
+        raise ConfigError(
+            f"config keys 'world.width' = {world['width']!r}, 'world.height' = "
+            f"{world['height']!r} and 'world.cell' = {world['cell']!r}: must give a spatial "
+            f"hash of at most 2^20 cells, ceil(width / cell) x ceil(height / cell)"
         )
     exp = cfg["experiment"]
     if exp["warmup_ms"] > exp["horizon_ms"]:

@@ -42,7 +42,7 @@ from .engine import (
     ms_to_us,
 )
 from .errors import ConfigError, ScenarioError
-from .infrastructure import LatencyRecord, TierParams, LinkParams
+from .infrastructure import LatencyRecord
 from .ledger import Chain, Transaction, validate_transaction
 from .stats import percentile
 from .workload import KIND_LABELS, SYSTEM_OWNER, Placement, Policy, TaskKind
@@ -80,29 +80,31 @@ class ScenarioResult:
 # The run resolves the queues once per window of simulated time.
 WINDOW_US = US_PER_S
 
-# Columns of a submitted task: its policy-free fields. IDX is the submit
-# index, which breaks ties in FIFO and emission order; REGION indexes the
-# world grid's regions, the owner's at creation.
-_IDX, _TID, _KIND, _OWNER, _CREATED, _REGION, _CANDIDATES = range(7)
-_SUBMITTED = 7
+# Columns of a submitted task: its policy-free fields. TID, the task id, is
+# its submit index, which breaks ties in FIFO and emission order; REGION
+# indexes the world grid's regions, the owner's at creation.
+_TID, _KIND, _OWNER, _CREATED, _REGION, _CANDIDATES = range(6)
+_SUBMITTED = 6
 # Columns of a placed task: the submitted fields up to CREATED, the server
 # and times of its placement, then the completion and finish times that the
 # resolve pass adds.
-_SERVER, _UP, _SERVICE, _DOWN, _DONE, _FINISH = range(5, 11)
+_SERVER, _UP, _SERVICE, _DOWN, _DONE, _FINISH = range(4, 10)
 _PLACED = _DONE
 
 
 class TaskPipeline:
     """Places tasks under one policy, queues them FIFO and records their latency.
 
-    submit() buffers a task's policy-free fields. resolve(cutoff) places the
-    tasks submitted since the last call, here and in each of peers: the
-    pipelines that see the same submissions under other placements. Each
-    then serves every placed task that reaches its server by the cutoff and
-    emits, in (finish, completion, arrival, submit index) order, every task
-    whose downlink lands by it; that is the order in which a per-task event
-    loop would finish them. Served tasks wait for emission in buckets keyed
-    by finish window, so a long backlog is never rescanned.
+    submit() numbers a task by submission and buffers its policy-free fields.
+    resolve(cutoff) places the tasks submitted since the last call, here and
+    in each of peers: the pipelines that see the same submissions under other
+    placements. Each then serves every placed task that reaches its server by
+    the cutoff and emits, in (finish, completion, arrival, task id) order,
+    every task whose downlink lands by it; that is the order in which a
+    per-task event loop would finish them. Served tasks wait for emission in
+    buckets keyed by finish window, so a long backlog is never rescanned.
+    The transactions handed to on_validated are those of the emitted
+    transaction-validation tasks.
     """
 
     __slots__ = (
@@ -128,20 +130,20 @@ class TaskPipeline:
         self.tasks_generated = 0  # taken in by resolve
         self._submitted = 0
         self._buffer = array("q")  # submitted since the last resolve, _SUBMITTED fields each
-        self._new_txs: dict[int, Transaction] = {}  # the same, by submit index
+        self._new_txs: dict[int, Transaction] = {}  # the same, by task id
         self._held = np.empty((0, _PLACED), dtype=np.int64)  # placed, not yet arrived
         self._buckets: dict[int, list[np.ndarray]] = {}  # served, by finish // WINDOW_US
-        self._txs: dict[int, Transaction] = {}  # by submit index, until validated
+        self._txs: dict[int, Transaction] = {}  # by task id, until validated
         self._shared: dict[int, int] = {}  # one int object per repeated record field value
 
-    def submit(self, task_id: int, kind: int, owner: int, created_us: int,
-               region: int = 0, candidates: int = 0, tx: Transaction | None = None) -> None:
-        """Buffer a generated task: its uplink starts at created_us."""
-        index = self._submitted
-        self._submitted = index + 1
-        self._buffer.extend((index, task_id, kind, owner, created_us, region, candidates))
+    def submit(self, kind: int, owner: int, created_us: int, region: int = 0,
+               candidates: int = 0, tx: Transaction | None = None) -> None:
+        """Buffer a generated task; its id is its submit index, its uplink starts at created_us."""
+        task_id = self._submitted
+        self._submitted = task_id + 1
+        self._buffer.extend((task_id, kind, owner, created_us, region, candidates))
         if tx is not None:
-            self._new_txs[index] = tx
+            self._new_txs[task_id] = tx
 
     def resolve(self, cutoff_us: int) -> None:
         """Serve the tasks that arrive by cutoff_us; emit those that finish by it.
@@ -182,7 +184,7 @@ class TaskPipeline:
             return
         arrival = arrival[take]
         server = rows[take, _SERVER]
-        order = np.lexsort((rows[take, _IDX], arrival, server))
+        order = np.lexsort((rows[take, _TID], arrival, server))
         take, arrival, server = take[order], arrival[order], server[order]
         done = infra.fifo_completions(server, arrival, rows[take, _SERVICE], self.busy_until)
         finish = done + rows[take, _DOWN]
@@ -207,7 +209,7 @@ class TaskPipeline:
             self._emit(rows)
 
     def _emit(self, rows: np.ndarray) -> None:
-        """Count emitted tasks into the statistics; records and transactions go in order."""
+        """Count emitted tasks into the statistics; records and transactions go in finish order."""
         kind = rows[:, _KIND]
         created = rows[:, _CREATED]
         total = rows[:, _FINISH] - created
@@ -220,12 +222,11 @@ class TaskPipeline:
                     self.totals[k].append(kept)
         self.records_emitted += len(rows)
         if self.record_sink is not None:
-            self._record(_in_finish_order(rows))
-        if self._txs and self.on_validated is not None:
-            # dict order is submit order, so the keys come sorted
-            keys = np.fromiter(self._txs, dtype=np.int64, count=len(self._txs))
-            at = np.searchsorted(keys, rows[:, _IDX]).clip(max=keys.size - 1)
-            self._validate(_in_finish_order(rows[keys[at] == rows[:, _IDX]]))
+            rows = _in_finish_order(rows)
+            self._record(rows)
+        if self.on_validated is not None:
+            txs = rows[rows[:, _KIND] == TaskKind.TRANSACTION_VALIDATION]
+            self._validate(txs if self.record_sink is not None else _in_finish_order(txs))
 
     def _record(self, rows: np.ndarray) -> None:
         sink = self.record_sink
@@ -243,16 +244,16 @@ class TaskPipeline:
                                share(down, down), t))
 
     def _validate(self, rows: np.ndarray) -> None:
-        """Hand the emitted transactions over, grouped by equal finish time."""
+        """Hand the transactions of emitted validation tasks over, grouped by equal finish time."""
         txs = self._txs
         group: list[Transaction] = []
         at = None
-        for index, finish in rows[:, [_IDX, _FINISH]].tolist():
+        for task_id, finish in rows[:, [_TID, _FINISH]].tolist():
             if finish != at and group:
                 self.on_validated(at, group)
                 group = []
             at = finish
-            group.append(txs.pop(index))
+            group.append(txs.pop(task_id))
         if group:
             self.on_validated(at, group)
 
@@ -266,24 +267,10 @@ class TaskPipeline:
 
 
 def _in_finish_order(rows: np.ndarray) -> np.ndarray:
-    """Rows sorted by (finish, completion, arrival, submit index): the order in
+    """Rows sorted by (finish, completion, arrival, task id): the order in
     which a per-task event loop would see the tasks finish."""
     arrival = rows[:, _CREATED] + rows[:, _UP]
-    return rows[np.lexsort((rows[:, _IDX], arrival, rows[:, _DONE], rows[:, _FINISH]))]
-
-
-def _tier_params(cfg: dict) -> TierParams:
-    topo_cfg = cfg["topology"]
-    links = topo_cfg["links"]
-    return TierParams(
-        device_mips=topo_cfg["device_mips"],
-        fog_mips=topo_cfg["fog_mips"],
-        edge_mips=topo_cfg["edge_mips"],
-        cloud_mips=topo_cfg["cloud_mips"],
-        device_fog=LinkParams(**links["device_fog"]),
-        fog_edge=LinkParams(**links["fog_edge"]),
-        edge_cloud=LinkParams(**links["edge_cloud"]),
-    )
+    return rows[np.lexsort((rows[:, _TID], arrival, rows[:, _DONE], rows[:, _FINISH]))]
 
 
 class ScenarioRunner:
@@ -323,10 +310,7 @@ class ScenarioRunner:
                            self.streams[STREAM_MOVEMENT])
 
         topo, devices, fogs = infra.build_user_topology(
-            self.world.regions_of_users(), self.grid.all_regions(), _tier_params(cfg),
-            edges_per_region=cfg["topology"]["edges_per_region"],
-            devices_per_fog=cfg["topology"]["devices_per_fog"],
-        )
+            self.world.regions_of_users(), self.grid.all_regions(), cfg["topology"])
         self.topo = topo
         self.home_fog_of_user = fogs
 
@@ -348,7 +332,6 @@ class ScenarioRunner:
         self.messages_sent = 0
         self.messages_skipped = 0
         self.tx_submitted = 0
-        self._next_task_id = 0
         self._next_asset_id = 0
         self._round_index = -1  # the movement round held in _round
         self._round = None
@@ -403,7 +386,6 @@ class ScenarioRunner:
         submit = self.pipeline.submit
         offsets = self._tick_offsets
         n = self.n_users
-        tid = self._next_task_id
         r, u = divmod(lo, n)
         while lo < hi:
             if r != self._round_index:
@@ -423,13 +405,11 @@ class ScenarioRunner:
                 if c != cell_of[user]:
                     world.rebucket(avatar, c)
                 now = base + offsets[user]
-                submit(tid, 0, user, now)
-                submit(tid + 1, 1, user, now, 0, nbsum[c] - 1)
-                tid += 2
+                submit(0, user, now)
+                submit(1, user, now, 0, nbsum[c] - 1)
             lo += end - u
             r += 1
             u = 0
-        self._next_task_id = tid
 
     def _on_message_send(self, now: int, user: int) -> None:
         stream = self.streams[STREAM_MESSAGING]
@@ -459,16 +439,12 @@ class ScenarioRunner:
 
     def _submit_region_task(self, kind: TaskKind, user: int, now: int,
                             tx: Transaction | None = None) -> None:
-        tid = self._next_task_id
-        self._next_task_id = tid + 1
         rx, ry = self.world.avatars[user].region
-        self.pipeline.submit(tid, kind, user, now, rx * self._regions_y + ry, 0, tx)
+        self.pipeline.submit(kind, user, now, rx * self._regions_y + ry, 0, tx)
 
     def _on_task_arrival(self, now: int, payload) -> None:
         # periodic universe-simulation task, originating at the cloud itself
-        tid = self._next_task_id
-        self._next_task_id = tid + 1
-        self.pipeline.submit(tid, TaskKind.UNIVERSE_SIMULATION, SYSTEM_OWNER, now)
+        self.pipeline.submit(TaskKind.UNIVERSE_SIMULATION, SYSTEM_OWNER, now)
         self.engine.schedule(now + self._universe_period_us, EV_TASK_ARRIVAL, None)
 
     def _tx_validated(self, chain: Chain, now: int, txs: list[Transaction]) -> None:

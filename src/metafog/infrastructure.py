@@ -50,29 +50,6 @@ class Link:
     bandwidth_mbps: int
 
 
-@dataclass(frozen=True)
-class LinkParams:
-    propagation_ms: float
-    bandwidth_mbps: int
-
-    @property
-    def propagation_us(self) -> int:
-        return ms_to_us(self.propagation_ms)
-
-
-@dataclass(frozen=True)
-class TierParams:
-    """Per-tier capacities and per-hop link parameters."""
-
-    device_mips: int = 500
-    fog_mips: int = 4_000
-    edge_mips: int = 20_000
-    cloud_mips: int = 100_000
-    device_fog: LinkParams = LinkParams(2.0, 100)
-    fog_edge: LinkParams = LinkParams(5.0, 1_000)
-    edge_cloud: LinkParams = LinkParams(30.0, 10_000)
-
-
 class Topology:
     """A validated tree of nodes plus path/transfer helpers.
 
@@ -153,8 +130,6 @@ class Topology:
         for region in self.edges_by_region:
             self.edges_by_region[region].sort()
 
-        self._path_cache: dict[tuple[str, str], tuple[Link, ...]] = {}
-        self._transfer_cache: dict[tuple[str, str, int], int] = {}
         self.node_ids = sorted(by_id)
         self.node_index = {node_id: i for i, node_id in enumerate(self.node_ids)}
         self._to_cloud: dict[int, np.ndarray] = {}
@@ -177,10 +152,6 @@ class Topology:
 
     def path(self, src: str, dst: str) -> tuple[Link, ...]:
         """Ordered links of the unique tree path; path(n, n) is empty."""
-        key = (src, dst)
-        cached = self._path_cache.get(key)
-        if cached is not None:
-            return cached
         up = self._chain.get(src)
         down = self._chain.get(dst)
         if up is None:
@@ -200,25 +171,14 @@ class Topology:
                 break
             descend.append(self._parent_link[node_id])
         hops.extend(reversed(descend))
-        result = tuple(hops)
-        self._path_cache[key] = result
-        return result
-
-    def transfer_us(self, src: str, dst: str, payload_bytes: int) -> int:
-        """transfer_time along the cached tree path between two nodes."""
-        key = (src, dst, payload_bytes)
-        cached = self._transfer_cache.get(key)
-        if cached is None:
-            cached = transfer_time(payload_bytes, self.path(src, dst))
-            self._transfer_cache[key] = cached
-        return cached
+        return tuple(hops)
 
     def ancestors(self, node_id: str) -> tuple[str, ...]:
         """The node and every node above it, the cloud last."""
         return self._chain[node_id]
 
     def transfer_to_cloud_us(self, payload_bytes: int) -> np.ndarray:
-        """transfer_us(node, cloud, payload_bytes) of every node, indexed like node_ids.
+        """transfer_time(payload_bytes, path(node, cloud)) of every node, indexed like node_ids.
 
         A node's cost is its uplink hop plus its parent's cost, filled a tier
         at a time from the cloud down.
@@ -319,13 +279,6 @@ class LatencyRecord(NamedTuple):
     total_us: int
 
 
-def _link_args(params: TierParams) -> list[tuple[int, int]]:
-    """(propagation_us, bandwidth_mbps) of the device-fog, fog-edge and edge-cloud hops,
-    converted once per topology rather than once per link."""
-    return [(hop.propagation_us, hop.bandwidth_mbps)
-            for hop in (params.device_fog, params.fog_edge, params.edge_cloud)]
-
-
 def simulate_mm1(arrival_rate_per_ms: float, service_rate_per_ms: float,
                  n_tasks: int, seed: int) -> dict:
     """Drive one FIFO compute queue with Poisson arrivals and exponential service.
@@ -351,31 +304,35 @@ def simulate_mm1(arrival_rate_per_ms: float, service_rate_per_ms: float,
 def build_user_topology(
     user_regions: list[tuple[int, int]],
     all_regions: list[tuple[int, int]],
-    params: TierParams,
-    *,
-    edges_per_region: int = 1,
-    devices_per_fog: int = 2,
+    topology_cfg: dict,
 ) -> tuple[Topology, list[str], list[str]]:
     """Build the scenario topology for a concrete user population.
 
-    Every user u gets device dev-u under a fog in their starting region;
-    fogs are created per region, devices_per_fog users each, and attach to
-    the region's edge servers round-robin. Every region of the world grid
-    gets its edge servers whether or not users start there.
+    topology_cfg is the validated "topology" section of a config: per-tier
+    capacities, per-hop links, edges_per_region and devices_per_fog. Every
+    user u gets device dev-u under a fog in their starting region; fogs are
+    created per region, devices_per_fog users each, and attach to the
+    region's edge servers round-robin. Every region of the world grid gets
+    its edge servers whether or not users start there.
 
     Returns (topology, device_id_per_user, home_fog_per_user).
     """
-    if devices_per_fog < 1 or edges_per_region < 1:
-        raise TopologyError("devices_per_fog and edges_per_region must be >= 1")
-    device_fog, fog_edge, edge_cloud = _link_args(params)
-    nodes = [NetworkNode("cloud", Tier.CLOUD_SERVER, params.cloud_mips)]
+    edges_per_region = topology_cfg["edges_per_region"]
+    devices_per_fog = topology_cfg["devices_per_fog"]
+    device_mips, fog_mips, edge_mips, cloud_mips = (
+        topology_cfg[f"{tier}_mips"] for tier in ("device", "fog", "edge", "cloud"))
+    links_cfg = topology_cfg["links"]
+    device_fog, fog_edge, edge_cloud = (
+        (ms_to_us(links_cfg[hop]["propagation_ms"]), links_cfg[hop]["bandwidth_mbps"])
+        for hop in ("device_fog", "fog_edge", "edge_cloud"))
+    nodes = [NetworkNode("cloud", Tier.CLOUD_SERVER, cloud_mips)]
     links: list[Link] = []
     edge_ids: dict[tuple[int, int], list[str]] = {}
     for rx, ry in all_regions:
         ids = []
         for k in range(edges_per_region):
             edge_id = f"edge-{rx}-{ry}" if edges_per_region == 1 else f"edge-{rx}-{ry}-{k}"
-            nodes.append(NetworkNode(edge_id, Tier.EDGE_SERVER, params.edge_mips, (rx, ry), "cloud"))
+            nodes.append(NetworkNode(edge_id, Tier.EDGE_SERVER, edge_mips, (rx, ry), "cloud"))
             links.append(Link(edge_id, "cloud", *edge_cloud))
             ids.append(edge_id)
         edge_ids[(rx, ry)] = ids
@@ -393,11 +350,11 @@ def build_user_topology(
         for i in range(n_fogs):
             fog_id = f"fog-{region[0]}-{region[1]}-{i}"
             parent_edge = edges[i % len(edges)]
-            nodes.append(NetworkNode(fog_id, Tier.FOG_SERVER, params.fog_mips, None, parent_edge))
+            nodes.append(NetworkNode(fog_id, Tier.FOG_SERVER, fog_mips, None, parent_edge))
             links.append(Link(fog_id, parent_edge, *fog_edge))
             for user in members[i * devices_per_fog:(i + 1) * devices_per_fog]:
                 dev_id = f"dev-{user}"
-                nodes.append(NetworkNode(dev_id, Tier.END_DEVICE, params.device_mips, None, fog_id))
+                nodes.append(NetworkNode(dev_id, Tier.END_DEVICE, device_mips, None, fog_id))
                 links.append(Link(dev_id, fog_id, *device_fog))
                 device_of_user[user] = dev_id
                 fog_of_user[user] = fog_id

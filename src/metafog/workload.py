@@ -89,8 +89,8 @@ class Placement:
     transfer is the difference of two per-node costs to the cloud when the
     server is above the owner, and their sum when the path runs through the
     cloud. apply() maps buffered task columns to those values with numpy
-    fancy indexing; they equal place(), Topology.transfer_us and
-    service_time_us task by task.
+    fancy indexing; they equal place(), transfer_time over Topology.path
+    and service_time_us task by task.
     """
 
     def __init__(self, policy: Policy, topo: Topology, profiles: dict,

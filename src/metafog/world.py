@@ -183,18 +183,8 @@ class World:
     def tick_avatar(self, user: int, dt_s: float) -> Avatar:
         """Movement tick for one avatar, keeping the spatial hash current."""
         avatar = self.avatars[user]
-        grid = self.grid
-        movement_tick(avatar, dt_s, self.rng, grid)
-        # _cell_index, inlined: this runs once per avatar per tick
-        cell = grid.cell
-        cx = int(avatar.x / cell)
-        cy = int(avatar.y / cell)
-        ncy = self.ncy
-        if cx >= self.ncx:
-            cx = self.ncx - 1
-        if cy >= ncy:
-            cy = ncy - 1
-        c = cx * ncy + cy
+        movement_tick(avatar, dt_s, self.rng, self.grid)
+        c = self._cell_index(avatar.x, avatar.y)
         if c != self._cell_of[user]:
             self.rebucket(avatar, c)
         return avatar

@@ -193,9 +193,9 @@ def test_criterion_5_hand_trace_oracle():
                           ["fog-0", "fog-0"], [(0, 0)])
     records = []
     pipeline = TaskPipeline(placement, record_sink=records.append)
-    pipeline.submit(0, TaskKind.SPATIAL_NAVIGATION, 0, 0)
-    pipeline.submit(1, TaskKind.SPATIAL_NAVIGATION, 1, 0)
-    pipeline.submit(2, TaskKind.SOCIAL_INTERACTION, 0, 1_000, region=0)  # region (0, 0)
+    pipeline.submit(TaskKind.SPATIAL_NAVIGATION, 0, 0)  # task ids are submit indexes
+    pipeline.submit(TaskKind.SPATIAL_NAVIGATION, 1, 0)
+    pipeline.submit(TaskKind.SOCIAL_INTERACTION, 0, 1_000, region=0)  # region (0, 0)
     pipeline.resolve(10_000_000)
 
     expected = {

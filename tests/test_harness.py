@@ -14,7 +14,7 @@ from metafog.cli import main as cli_main
 from metafog.config import DEFAULTS, config_digest, load_config, resolve_config
 from metafog.errors import ConfigError, ScenarioError
 from metafog.harness import ScenarioRunner, TaskPipeline, run_scenario, sweep
-from metafog.workload import Policy
+from metafog.workload import Policy, TaskKind
 from metafog.reporting import (
     CSV_HEADER,
     emit,
@@ -104,20 +104,30 @@ ALWAYS_BAD = st.sampled_from([None, "1", True, False, {}, {"length_mi": 5}, math
 # Bad for some leaves only.
 MAYBE_BAD = st.sampled_from([0, 0.0, 0.5, 1e-320, 1e308, 10**400, 2**64, [1, 2], [2, 1],
                              [1e-320], [0.5, 10**400]])
+# Finite, but too large for every time, payload, length, capacity and world
+# side: their microseconds, bits, instructions or hash cells would not fit.
+HUGE = st.sampled_from([1e300, 10**30, 2**53 + 1])
+
+
+def _bounded(path: str) -> bool:
+    leaf = path.rsplit(".", 1)[-1]
+    return leaf.endswith(("_ms", "_bytes", "_mi", "_mips", "_mbps")) or \
+        path in ("world.width", "world.height")
 
 
 class TestConfigLeaves:
     @settings(max_examples=400, deadline=None)
     @given(path=st.sampled_from(_leaf_paths(DEFAULTS)), bad=ALWAYS_BAD, maybe=MAYBE_BAD,
-           always=st.booleans())
-    def test_every_bad_leaf_is_a_config_error_that_names_it(self, path, bad, maybe, always):
-        value = bad if always else maybe
+           huge=HUGE, pick=st.sampled_from(["always", "maybe", "huge"]))
+    def test_every_bad_leaf_is_a_config_error_that_names_it(self, path, bad, maybe, huge, pick):
+        value = {"always": bad, "maybe": maybe, "huge": huge}[pick]
+        refused = pick == "always" or (pick == "huge" and _bounded(path))
         try:
             resolve_config(_nest(path, value))
         except ConfigError as exc:
             assert path in str(exc)
         else:
-            assert not always, f"{path} = {value!r} accepted"
+            assert not refused, f"{path} = {value!r} accepted"
 
     @pytest.mark.parametrize("path, value", [
         ("experiment.horizon_ms", math.inf),
@@ -128,10 +138,34 @@ class TestConfigLeaves:
         ("workload.message_rate_per_user_per_s", 1e-320),
         ("workload.tx_rate_per_user_per_s", 1e-302),
         ("world.height", 10**400),
+        ("topology.links.edge_cloud.propagation_ms", 1e300),
+        ("workload.profiles.spatial_navigation.upload_bytes", 10**30),
+        ("workload.profiles.transaction_validation.length_mi", 10**30),
+        ("world.width", 1e300),
     ])
     def test_non_finite_and_overflowing_values_are_refused(self, path, value):
         with pytest.raises(ConfigError, match=path):
             resolve_config(_nest(path, value))
+
+    @pytest.mark.parametrize("path, largest", [
+        ("experiment.horizon_ms", 2**53 // 1000),  # whole milliseconds of at most 2^53 us
+        ("topology.links.fog_edge.propagation_ms", 2**53 // 1000),
+        ("workload.profiles.social_interaction.download_bytes", 2**50),
+        ("workload.profiles.collision_detection.per_neighbor_mi", 2**53 // 10**6),
+        ("topology.cloud_mips", 2**53),
+    ])
+    def test_int64_bounds_are_inclusive(self, path, largest):
+        resolve_config(_nest(path, largest))
+        with pytest.raises(ConfigError, match=path):
+            resolve_config(_nest(path, largest + 1))
+
+    def test_hash_grid_holds_at_most_2_to_the_20_cells(self):
+        # 1024 x 1024 cells of the default 40-unit cell; World is not built
+        resolve_config({"world": {"width": 40.0 * 1024, "height": 40.0 * 1024}})
+        with pytest.raises(ConfigError, match="world.height"):
+            resolve_config({"world": {"width": 40.0 * 1024, "height": 40.0 * 1024 + 1}})
+        with pytest.raises(ConfigError, match="world.cell"):
+            resolve_config({"world": {"cell": 1e-3, "proximity_radius": 1e-3}})
 
     def test_the_smallest_rates_with_finite_gaps_are_accepted(self):
         resolve_config({"workload": {"tx_rate_per_user_per_s": 1e-300,
@@ -249,8 +283,12 @@ class TestResolve:
         for cut in sorted(cuts) + [6_000]:
             while submitted < len(tasks) and tasks[submitted][0] <= cut:
                 created, *_, has_tx = tasks[submitted]
-                pipeline.submit(submitted, 0, 7, created, submitted, 0,
-                                f"tx{submitted}" if has_tx else None)
+                # a transaction rides on a validation task; the region is the task's index
+                if has_tx:
+                    pipeline.submit(TaskKind.TRANSACTION_VALIDATION, 7, created, submitted, 0,
+                                    f"tx{submitted}")
+                else:
+                    pipeline.submit(TaskKind.SPATIAL_NAVIGATION, 7, created, submitted)
                 submitted += 1
             pipeline.resolve(cut)
         # replay: FIFO per server in (arrival, submit index) order, one task at a time
@@ -456,6 +494,11 @@ class TestCli:
         ('{"workload": {"message_rate_per_user_per_s": 1e-320}}',
          "workload.message_rate_per_user_per_s"),
         ('{"world": {"cell": NaN}}', "world.cell"),
+        ('{"topology": {"links": {"edge_cloud": {"propagation_ms": 1e300}}}}',
+         "topology.links.edge_cloud.propagation_ms"),
+        ('{"workload": {"profiles": {"spatial_navigation": {"upload_bytes": %d}}}}' % 10**30,
+         "workload.profiles.spatial_navigation.upload_bytes"),
+        ('{"world": {"width": 1e300}}', "world.width"),
     ])
     def test_non_finite_and_overflowing_values_exit_2(self, text, key, tmp_path, capsys):
         bad = tmp_path / "bad.json"

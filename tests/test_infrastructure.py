@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from metafog.config import resolve_config
 from metafog.errors import TopologyError
 from metafog.harness import TaskPipeline, run_scenario
 from metafog.infrastructure import (
     Link,
-    LinkParams,
     NetworkNode,
     Tier,
-    TierParams,
     Topology,
     build_user_topology,
     fifo_completions,
@@ -22,14 +21,10 @@ from metafog.infrastructure import (
 )
 from metafog.workload import SYSTEM_OWNER, Placement, Policy, TaskKind
 
-PARAMS = TierParams(
-    fog_mips=4_000,
-    edge_mips=20_000,
-    cloud_mips=100_000,
-    device_fog=LinkParams(2.0, 100),
-    fog_edge=LinkParams(5.0, 1_000),
-    edge_cloud=LinkParams(30.0, 10_000),
-)
+# The hand computations' tiers: the default topology with a 4 000 MIPS fog
+# and a 30 ms edge-cloud link.
+PARAMS = resolve_config({"topology": {
+    "fog_mips": 4_000, "links": {"edge_cloud": {"propagation_ms": 30.0}}}})["topology"]
 
 
 # Task profiles of the hand computations: lengths in MI, payloads in bytes.
@@ -58,7 +53,7 @@ class TestBuildTopology:
         # cloud + 2 regions x (1 edge + 2 fogs + 4 devices) = 1 + 2*7
         regions = [(0, 0), (1, 0)]
         topo, _, _ = build_user_topology([r for r in regions for _ in range(4)], regions,
-                                         PARAMS, devices_per_fog=2)
+                                         {**PARAMS, "devices_per_fog": 2})
         assert topo.node_count() == 15
         tiers = [topo.node(n).tier for n in topo.nodes_by_id]
         assert tiers.count(Tier.EDGE_SERVER) == 2
@@ -152,7 +147,7 @@ class TestPath:
 
     def test_sibling_path_goes_through_common_ancestor(self):
         # two users, one device per fog: two sibling fogs under the one edge
-        topo, _, _ = build_user_topology([(0, 0)] * 2, [(0, 0)], PARAMS, devices_per_fog=1)
+        topo, _, _ = build_user_topology([(0, 0)] * 2, [(0, 0)], {**PARAMS, "devices_per_fog": 1})
         fogs = sorted(n for n in topo.nodes_by_id if topo.node(n).tier == Tier.FOG_SERVER)
         path = topo.path(fogs[0], fogs[1])
         assert len(path) == 2  # up to the edge, down to the sibling
@@ -259,7 +254,7 @@ class TestEndToEndLatency:
         records = []
         placement = Placement(Policy.FOG_EDGE, topo, PROFILES, [dev], [fog], [(0, 0)])
         pipeline = TaskPipeline(placement, record_sink=records.append)
-        pipeline.submit(0, kind, owner, 0)
+        pipeline.submit(kind, owner, 0)
         pipeline.resolve(10_000_000)
         assert len(records) == 1
         return fog, records[0]

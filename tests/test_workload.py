@@ -8,12 +8,7 @@ from hypothesis import strategies as st
 from metafog.config import resolve_config
 from metafog.errors import ConfigError
 from metafog.harness import run_scenario
-from metafog.infrastructure import (
-    LinkParams,
-    TierParams,
-    build_user_topology,
-    service_time_us,
-)
+from metafog.infrastructure import build_user_topology, service_time_us, transfer_time
 from metafog.workload import KIND_LABELS, SYSTEM_OWNER, Placement, Policy, TaskKind, place
 
 
@@ -29,7 +24,9 @@ class TestPlacementTable:
     def setup_method(self):
         # one user, so one fog, in each of two regions
         regions = [(0, 0), (1, 1)]
-        self.topo, _, fogs = build_user_topology(regions, regions, TierParams())
+        topology = resolve_config({"topology": {
+            "fog_mips": 4_000, "links": {"edge_cloud": {"propagation_ms": 30.0}}}})["topology"]
+        self.topo, _, fogs = build_user_topology(regions, regions, topology)
         self.fog = fogs[0]
 
     def place(self, kind, policy=Policy.FOG_EDGE, region=None):
@@ -63,7 +60,8 @@ class TestPlacementTable:
             place(TaskKind.SPATIAL_NAVIGATION, Policy.FOG_EDGE, self.topo, None)
 
 
-_LINK = st.builds(LinkParams, st.sampled_from([0.0, 0.5, 2.0, 16.1]), st.integers(1, 10_000))
+_LINK = st.fixed_dictionaries({"propagation_ms": st.sampled_from([0.0, 0.5, 2.0, 16.1]),
+                                "bandwidth_mbps": st.integers(1, 10_000)})
 
 
 class TestPlacementArrays:
@@ -75,9 +73,11 @@ class TestPlacementArrays:
             self, data, regions_x, regions_y, edges, devices_per_fog, links):
         grid = [(rx, ry) for rx in range(regions_x) for ry in range(regions_y)]
         homes = data.draw(st.lists(st.sampled_from(grid), min_size=1, max_size=12))
-        topo, devices, fogs = build_user_topology(
-            homes, grid, TierParams(2_000, 4_000, 20_000, 100_000, *links),
-            edges_per_region=edges, devices_per_fog=devices_per_fog)
+        topology = {"device_mips": 2_000, "fog_mips": 4_000, "edge_mips": 20_000,
+                    "cloud_mips": 100_000, "edges_per_region": edges,
+                    "devices_per_fog": devices_per_fog,
+                    "links": dict(zip(("device_fog", "fog_edge", "edge_cloud"), links))}
+        topo, devices, fogs = build_user_topology(homes, grid, topology)
         profiles = resolve_config(None)["workload"]["profiles"]
         owner_of = st.integers(0, len(homes) - 1)
         tasks = data.draw(st.lists(st.tuples(
@@ -98,8 +98,8 @@ class TestPlacementArrays:
                 length = profile.get("length_mi", profile.get("base_length_mi"))
                 length += profile.get("per_neighbor_mi", 0) * candidates
                 assert topo.node_ids[server] == node
-                assert up == topo.transfer_us(source, node, profile["upload_bytes"])
-                assert down == topo.transfer_us(node, source, profile["download_bytes"])
+                assert up == transfer_time(profile["upload_bytes"], topo.path(source, node))
+                assert down == transfer_time(profile["download_bytes"], topo.path(node, source))
                 assert service == service_time_us(length, topo.node(node).capacity_mips)
 
 

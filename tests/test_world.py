@@ -273,9 +273,9 @@ class TestMovementRounds:
             assert self._state(world) == self._state(mirror)
             if hi % n == 0:
                 assert world.rng._rng.getstate() == mirror.rng._rng.getstate()
-        rows = [tuple(runner.pipeline._buffer[f] for f in range(i, i + 7))
-                for i in range(0, len(runner.pipeline._buffer), 7)]
-        assert [(kind, owner, created, cand) for _, _, kind, owner, created, _, cand in rows] \
+        rows = [tuple(runner.pipeline._buffer[f] for f in range(i, i + 6))
+                for i in range(0, len(runner.pipeline._buffer), 6)]
+        assert [(kind, owner, created, cand) for _, kind, owner, created, _, cand in rows] \
             == expected
 
     @staticmethod
