@@ -15,10 +15,12 @@ from metafog import RngStream, World, WorldGrid, region_of
 grid = WorldGrid(width=1000.0, height=1000.0, regions_x=10, regions_y=10, cell=40.0)
 world = World(grid, n_users=60, speed=1.5, rng=RngStream(7, "movement"))
 
-# advance everyone a few simulated seconds
+# advance everyone a few simulated seconds: each round moves every avatar once,
+# and rebucket keeps the spatial hash current when an avatar crosses a cell border
 for _ in range(10):
-    for user in range(60):
-        world.tick_avatar(user, dt_s=1.0)
+    for avatar, x, y, region, cell in zip(world.avatars, *world.next_round(dt_s=1.0)):
+        avatar.x, avatar.y, avatar.region = x, y, region
+        world.rebucket(avatar, cell)
 
 a = world.avatars[0]
 print(f"avatar 0 at ({a.x:7.2f}, {a.y:7.2f}), region {a.region} "

@@ -106,8 +106,8 @@ def _is_int(v) -> bool:
 # Times in microseconds, payloads in bits, lengths in instructions and
 # capacities stay at most 2^53, so the sums a run forms from them fit int64.
 _MAX_EXACT = 2**53
-# The spatial hash builds every cell's member list and 3x3 block up front.
-_MAX_HASH_CELLS = 2**20
+# Set-up builds a list entry per spatial-hash cell, user and edge server.
+_MAX_COUNT = 2**20
 
 
 def _is_time(v) -> bool:
@@ -143,7 +143,8 @@ _CHECKS = {
     "topology.fog_mips": (lambda v: _is_scaled(v, 1, 1), _POSITIVE_INT),
     "topology.edge_mips": (lambda v: _is_scaled(v, 1, 1), _POSITIVE_INT),
     "topology.cloud_mips": (lambda v: _is_scaled(v, 1, 1), _POSITIVE_INT),
-    "workload.user_count": (lambda v: _is_int(v) and v >= 1, "integer >= 1"),
+    "workload.user_count": (lambda v: _is_int(v) and 1 <= v <= _MAX_COUNT,
+                            "integer >= 1, at most 2^20"),
     "workload.message_rate_per_user_per_s": (_is_rate, _RATE),
     "workload.tx_rate_per_user_per_s": (_is_rate, _RATE),
     "ledger.batch_size": (lambda v: _is_int(v) and v >= 1, "integer >= 1"),
@@ -225,12 +226,20 @@ def resolve_config(overrides: dict | None = None) -> dict:
             f"({world['cell']!r}) so neighbor search stays a 3x3 cell scan"
         )
     sides = [world[side] / world["cell"] for side in ("width", "height")]
-    if max(sides) > _MAX_HASH_CELLS or \
-            math.prod(max(1, math.ceil(n)) for n in sides) > _MAX_HASH_CELLS:
+    if max(sides) > _MAX_COUNT or \
+            math.prod(max(1, math.ceil(n)) for n in sides) > _MAX_COUNT:
         raise ConfigError(
             f"config keys 'world.width' = {world['width']!r}, 'world.height' = "
             f"{world['height']!r} and 'world.cell' = {world['cell']!r}: must give a spatial "
             f"hash of at most 2^20 cells, ceil(width / cell) x ceil(height / cell)"
+        )
+    edges = world["regions_x"] * world["regions_y"] * cfg["topology"]["edges_per_region"]
+    if edges > _MAX_COUNT:
+        raise ConfigError(
+            f"config keys 'world.regions_x' = {world['regions_x']!r}, 'world.regions_y' = "
+            f"{world['regions_y']!r} and 'topology.edges_per_region' = "
+            f"{cfg['topology']['edges_per_region']!r}: must give at most 2^20 edge servers, "
+            "regions_x x regions_y x edges_per_region"
         )
     exp = cfg["experiment"]
     if exp["warmup_ms"] > exp["horizon_ms"]:

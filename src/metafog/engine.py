@@ -45,10 +45,6 @@ def ms_to_us(ms: float | int) -> int:
     return math.ceil(Decimal(repr(ms)) * US_PER_MS)
 
 
-def us_to_ms(us: int) -> float:
-    return us / US_PER_MS
-
-
 def ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
@@ -80,9 +76,6 @@ class RngStream:
     def random(self) -> float:
         """Uniform float in [0, 1)."""
         return self._rng.random()
-
-    def uniform(self, lo: float, hi: float) -> float:
-        return lo + (hi - lo) * self._rng.random()
 
     def randrange(self, n: int) -> int:
         """Uniform integer in [0, n)."""

@@ -186,7 +186,12 @@ class TaskPipeline:
         server = rows[take, _SERVER]
         order = np.lexsort((rows[take, _TID], arrival, server))
         take, arrival, server = take[order], arrival[order], server[order]
-        done = infra.fifo_completions(server, arrival, rows[take, _SERVICE], self.busy_until)
+        try:
+            done = infra.fifo_completions(server, arrival, rows[take, _SERVICE], self.busy_until)
+        except OverflowError as exc:
+            raise ConfigError(
+                "config keys 'workload.profiles.*.length_mi' and 'topology.*_mips': service "
+                f"times queue past the int64 microsecond range ({exc})") from exc
         finish = done + rows[take, _DOWN]
         key = finish // WINDOW_US
         order = np.argsort(key, kind="stable")
@@ -391,15 +396,13 @@ class ScenarioRunner:
             if r != self._round_index:
                 self._round = world.next_round(self.dt_s)
                 self._round_index = r
-            xs, ys, wxs, wys, regions, cells = self._round
+            xs, ys, regions, cells = self._round
             base = r * self.tick_us
             end = min(n, u + hi - lo)
             for user in range(u, end):
                 avatar = avatars[user]
                 avatar.x = xs[user]
                 avatar.y = ys[user]
-                avatar.wx = wxs[user]
-                avatar.wy = wys[user]
                 avatar.region = regions[user]
                 c = cells[user]
                 if c != cell_of[user]:

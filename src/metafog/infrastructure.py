@@ -134,15 +134,6 @@ class Topology:
         self.node_index = {node_id: i for i, node_id in enumerate(self.node_ids)}
         self._to_cloud: dict[int, np.ndarray] = {}
 
-    def node(self, node_id: str) -> NetworkNode:
-        try:
-            return self.nodes_by_id[node_id]
-        except KeyError:
-            raise TopologyError(f"unknown node id {node_id!r}") from None
-
-    def node_count(self) -> int:
-        return len(self.nodes_by_id)
-
     def edge_of_region(self, region: tuple[int, int], owner: int = 0) -> str:
         """The edge server serving a region; owner spreads load when several exist."""
         edges = self.edges_by_region.get(region)

@@ -8,9 +8,10 @@ Tildesley, *Computer Simulation of Liquids*, 1987, section 5.3.2). Each cell
 holds its Avatar objects, and each cell's 3x3 block of member lists is built
 once, so a query walks avatars directly rather than looking up user ids.
 
-A simulation run moves every avatar once per round. World.next_round computes
-a whole round in numpy, with the IEEE operations of movement_tick, and the
-caller applies it one avatar at a time as the avatars' ticks come due.
+A simulation run moves every avatar once per round, and World.next_round is
+the only code that moves one: it computes a whole round in numpy, and the
+caller applies it one avatar at a time as the avatars' ticks come due. The
+tests keep a scalar one-avatar step as the oracle that rounds must equal.
 """
 
 from __future__ import annotations
@@ -79,45 +80,14 @@ class Avatar:
     user: int
     x: float
     y: float
-    wx: float
-    wy: float
-    speed: float  # world units per second
     region: tuple[int, int]
 
 
-def movement_tick(avatar: Avatar, dt_s: float, rng: RngStream, grid: WorldGrid) -> Avatar:
-    """Advance one avatar by speed*dt toward its waypoint.
-
-    Arrival at the waypoint is capped exactly on it, and a new uniform-random
-    waypoint is drawn (two draws: x then y). The avatar's region is recomputed
-    after every tick.
-    """
-    if dt_s <= 0:
-        raise SimulationError("movement_tick requires dt > 0")
-    step = avatar.speed * dt_s
-    dx = avatar.wx - avatar.x
-    dy = avatar.wy - avatar.y
-    dist = math.sqrt(dx * dx + dy * dy)
-    if dist <= step:
-        avatar.x = avatar.wx
-        avatar.y = avatar.wy
-        if step > 0.0:
-            avatar.wx = rng.random() * grid.width
-            avatar.wy = rng.random() * grid.height
-    else:
-        avatar.x += (dx / dist) * step
-        avatar.y += (dy / dist) * step
-    avatar.region = region_of((avatar.x, avatar.y), grid)
-    return avatar
-
-
 class Round(NamedTuple):
-    """Each avatar's state after a round of ticks, indexed by user."""
+    """Each avatar's position, region and hash cell after a round of ticks, by user."""
 
     x: list[float]
     y: list[float]
-    wx: list[float]
-    wy: list[float]
     region: list[tuple[int, int]]
     cell: list[int]
 
@@ -154,45 +124,25 @@ class World:
                 block = tuple([gx * ncy + gy for gx in gxs for gy in gys])
                 self._neighbors.append(block)
                 self._blocks.append(tuple([members[n] for n in block]))
-        self.avatars: list[Avatar] = []
-        self._cell_of: list[int] = []
-        for user in range(n_users):
-            x = rng.random() * grid.width
-            y = rng.random() * grid.height
-            wx = rng.random() * grid.width
-            wy = rng.random() * grid.height
-            avatar = Avatar(user, x, y, wx, wy, speed, region_of((x, y), grid))
-            self.avatars.append(avatar)
-            c = self._cell_index(x, y)
-            self._cell_of.append(c)
+        draws = np.array([rng.random() for _ in range(4 * n_users)]).reshape(-1, 4)
+        draws *= (grid.width, grid.height, grid.width, grid.height)
+        # x, y, wx and wy of every avatar after the last round: positions and waypoints
+        self._state: tuple[np.ndarray, ...] = tuple(draws.T.copy())
+        self.speed = speed  # world units per second
+        self._regions = grid.all_regions()  # region index rx * regions_y + ry -> (rx, ry)
+        x, y = self._state[:2]
+        regions, self._cell_of = self._place(x, y)
+        self.avatars = list(map(Avatar, range(n_users), x.tolist(), y.tolist(), regions))
+        for avatar, c in zip(self.avatars, self._cell_of):
             members[c].append(avatar)
         self._nbsum = [sum(map(len, block)) for block in self._blocks]
-        # x, y, wx, wy and speed arrays after the last round, from the first next_round
-        self._state: tuple[np.ndarray, ...] | None = None
-        self._regions = grid.all_regions()  # region index rx * regions_y + ry -> (rx, ry)
-
-    def _cell_index(self, x: float, y: float) -> int:
-        cx = int(x / self.grid.cell)
-        cy = int(y / self.grid.cell)
-        if cx >= self.ncx:
-            cx = self.ncx - 1
-        if cy >= self.ncy:
-            cy = self.ncy - 1
-        return cx * self.ncy + cy
-
-    def tick_avatar(self, user: int, dt_s: float) -> Avatar:
-        """Movement tick for one avatar, keeping the spatial hash current."""
-        avatar = self.avatars[user]
-        movement_tick(avatar, dt_s, self.rng, self.grid)
-        c = self._cell_index(avatar.x, avatar.y)
-        if c != self._cell_of[user]:
-            self.rebucket(avatar, c)
-        return avatar
 
     def rebucket(self, avatar: Avatar, c: int) -> None:
-        """Move an avatar that has crossed into cell c out of its old cell."""
+        """Move an avatar into cell c of the spatial hash, if it is not there already."""
         user = avatar.user
         old = self._cell_of[user]
+        if old == c:
+            return
         self._members[old].remove(avatar)
         self._members[c].append(avatar)
         self._cell_of[user] = c
@@ -202,37 +152,43 @@ class World:
         for n in self._neighbors[c]:
             nbsum[n] += 1
 
+    def _place(self, x: np.ndarray, y: np.ndarray) -> tuple[list[tuple[int, int]], list[int]]:
+        """Region and hash cell of each position; the max edges clamp into the last ones."""
+        grid = self.grid
+        rx = np.minimum((x / grid.region_width).astype(np.int64), grid.regions_x - 1)
+        ry = np.minimum((y / grid.region_height).astype(np.int64), grid.regions_y - 1)
+        cx = np.minimum((x / grid.cell).astype(np.int64), self.ncx - 1)
+        cy = np.minimum((y / grid.cell).astype(np.int64), self.ncy - 1)
+        return (list(map(self._regions.__getitem__, (rx * grid.regions_y + ry).tolist())),
+                (cx * self.ncy + cy).tolist())
+
     def next_round(self, dt_s: float) -> Round:
         """Every avatar's state after one more tick of dt_s, computed but not applied.
 
-        The result equals what tick_avatar gives when every avatar ticks once,
-        in user order, from the end of the previous round: the same IEEE
-        operations run element-wise, and arriving avatars draw their new
-        waypoints (x then y) from the movement stream in user order. The first
-        round starts from the avatars; each later one from the round before,
-        so a world moves either by rounds or by tick_avatar, never both. The
-        caller writes each avatar and calls rebucket on a cell crossing when
-        that avatar's tick comes due.
+        Each avatar moves speed * dt_s toward its waypoint. One that reaches
+        it stops exactly on it and, unless the speed is 0, draws a fresh
+        uniform waypoint (x then y) from the movement stream, in user order.
+        A round starts where the round before it ended, the first one where
+        __init__ placed the avatars. The caller writes each avatar and calls
+        rebucket on a cell crossing when that avatar's tick comes due.
+        tests/test_world.py keeps a scalar one-avatar step that every round
+        must equal, bit for bit and draw for draw.
         """
         if dt_s <= 0:
             raise SimulationError("a movement round requires dt > 0")
         grid = self.grid
-        if self._state is None:
-            self._state = tuple(np.array([getattr(a, f) for a in self.avatars], dtype=float)
-                                for f in ("x", "y", "wx", "wy", "speed"))
-        x, y, wx, wy, speed = self._state
-        step = speed * dt_s
+        x, y, wx, wy = self._state
+        step = self.speed * dt_s
         dx = wx - x
         dy = wy - y
         dist = np.sqrt(dx * dx + dy * dy)
-        arrive = dist <= step
-        move = ~arrive
+        move = dist > step
         nx = wx.copy()  # an arrival is capped exactly on its waypoint
         ny = wy.copy()
-        nx[move] = x[move] + (dx[move] / dist[move]) * step[move]
-        ny[move] = y[move] + (dy[move] / dist[move]) * step[move]
-        redraw = np.flatnonzero(arrive & (step > 0.0))
-        if redraw.size:
+        nx[move] = x[move] + (dx[move] / dist[move]) * step
+        ny[move] = y[move] + (dy[move] / dist[move]) * step
+        redraw = np.flatnonzero(~move)
+        if redraw.size and step > 0.0:
             draw = self.rng.random
             xy = np.array([draw() for _ in range(2 * redraw.size)]).reshape(-1, 2)
             wx = wx.copy()
@@ -241,14 +197,8 @@ class World:
             wy[redraw] = xy[:, 1] * grid.height
         if (nx < 0).any() or (ny < 0).any() or (nx > grid.width).any() or (ny > grid.height).any():
             raise SimulationError("a movement round left the world bounds")
-        self._state = (nx, ny, wx, wy, speed)
-        rx = np.minimum((nx / grid.region_width).astype(np.int64), grid.regions_x - 1)
-        ry = np.minimum((ny / grid.region_height).astype(np.int64), grid.regions_y - 1)
-        cx = np.minimum((nx / grid.cell).astype(np.int64), self.ncx - 1)
-        cy = np.minimum((ny / grid.cell).astype(np.int64), self.ncy - 1)
-        return Round(nx.tolist(), ny.tolist(), wx.tolist(), wy.tolist(),
-                     list(map(self._regions.__getitem__, (rx * grid.regions_y + ry).tolist())),
-                     (cx * self.ncy + cy).tolist())
+        self._state = (nx, ny, wx, wy)
+        return Round(nx.tolist(), ny.tolist(), *self._place(nx, ny))
 
     def collision_candidates(self, user: int) -> int:
         """Number of other avatars in the 3x3 cell neighborhood."""

@@ -104,15 +104,17 @@ ALWAYS_BAD = st.sampled_from([None, "1", True, False, {}, {"length_mi": 5}, math
 # Bad for some leaves only.
 MAYBE_BAD = st.sampled_from([0, 0.0, 0.5, 1e-320, 1e308, 10**400, 2**64, [1, 2], [2, 1],
                              [1e-320], [0.5, 10**400]])
-# Finite, but too large for every time, payload, length, capacity and world
-# side: their microseconds, bits, instructions or hash cells would not fit.
+# Finite, but too large for every time, payload, length, capacity, world side
+# and count: their microseconds, bits, instructions, hash cells or set-up
+# lists would not fit.
 HUGE = st.sampled_from([1e300, 10**30, 2**53 + 1])
 
 
 def _bounded(path: str) -> bool:
     leaf = path.rsplit(".", 1)[-1]
     return leaf.endswith(("_ms", "_bytes", "_mi", "_mips", "_mbps")) or \
-        path in ("world.width", "world.height")
+        path in ("world.width", "world.height", "world.regions_x", "world.regions_y",
+                 "topology.edges_per_region", "workload.user_count")
 
 
 class TestConfigLeaves:
@@ -153,6 +155,9 @@ class TestConfigLeaves:
         ("workload.profiles.social_interaction.download_bytes", 2**50),
         ("workload.profiles.collision_detection.per_neighbor_mi", 2**53 // 10**6),
         ("topology.cloud_mips", 2**53),
+        ("workload.user_count", 2**20),
+        ("world.regions_x", 2**20 // 10),  # times the default 10 regions_y
+        ("topology.edges_per_region", 2**20 // 100),  # times the default 10 x 10 regions
     ])
     def test_int64_bounds_are_inclusive(self, path, largest):
         resolve_config(_nest(path, largest))
@@ -499,14 +504,22 @@ class TestCli:
         ('{"workload": {"profiles": {"spatial_navigation": {"upload_bytes": %d}}}}' % 10**30,
          "workload.profiles.spatial_navigation.upload_bytes"),
         ('{"world": {"width": 1e300}}', "world.width"),
+        # every value is in range, but the cloud's backlog outgrows int64 microseconds
+        (json.dumps({"workload": {"user_count": 20, "profiles": {
+            "spatial_navigation": {"length_mi": 2**53 // 10**6}}},
+            "topology": {"cloud_mips": 1},
+            "experiment": {"horizon_ms": 60_000.0, "warmup_ms": 0.0}}),
+         "workload.profiles.*.length_mi"),
     ])
     def test_non_finite_and_overflowing_values_exit_2(self, text, key, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(text)
-        code = cli_main(["run", "--config", str(bad), "--policy", "cloud",
-                         "--seed", "1", "--out", str(tmp_path / "x")])
-        assert code == 2
-        assert key in capsys.readouterr().err
+        for command in (["run", "--policy", "cloud", "--seed", "1"],
+                        ["sweep", "--param", "user_count", "--values", "20", "--reps", "1"]):
+            code = cli_main([*command, "--config", str(bad), "--out", str(tmp_path / "x")])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert key in err and "Traceback" not in err
 
     def test_sweep_names_the_scenario_that_fails(self, cfg_file, tmp_path, capsys):
         code = cli_main(["sweep", "--config", str(cfg_file), "--param", "user_count",

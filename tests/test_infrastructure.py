@@ -46,7 +46,7 @@ def minimal_chain():
 class TestBuildTopology:
     def test_minimal_chain_counts(self):
         topo = minimal_chain()
-        assert topo.node_count() == 4
+        assert len(topo.nodes_by_id) == 4
         assert len(topo.links) == 3
 
     def test_regular_two_region_tree_has_fifteen_nodes(self):
@@ -54,8 +54,8 @@ class TestBuildTopology:
         regions = [(0, 0), (1, 0)]
         topo, _, _ = build_user_topology([r for r in regions for _ in range(4)], regions,
                                          {**PARAMS, "devices_per_fog": 2})
-        assert topo.node_count() == 15
-        tiers = [topo.node(n).tier for n in topo.nodes_by_id]
+        assert len(topo.nodes_by_id) == 15
+        tiers = [n.tier for n in topo.nodes_by_id.values()]
         assert tiers.count(Tier.EDGE_SERVER) == 2
         assert tiers.count(Tier.FOG_SERVER) == 4
         assert tiers.count(Tier.END_DEVICE) == 8
@@ -148,7 +148,7 @@ class TestPath:
     def test_sibling_path_goes_through_common_ancestor(self):
         # two users, one device per fog: two sibling fogs under the one edge
         topo, _, _ = build_user_topology([(0, 0)] * 2, [(0, 0)], {**PARAMS, "devices_per_fog": 1})
-        fogs = sorted(n for n in topo.nodes_by_id if topo.node(n).tier == Tier.FOG_SERVER)
+        fogs = sorted(i for i, n in topo.nodes_by_id.items() if n.tier == Tier.FOG_SERVER)
         path = topo.path(fogs[0], fogs[1])
         assert len(path) == 2  # up to the edge, down to the sibling
 

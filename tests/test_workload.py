@@ -100,7 +100,7 @@ class TestPlacementArrays:
                 assert topo.node_ids[server] == node
                 assert up == transfer_time(profile["upload_bytes"], topo.path(source, node))
                 assert down == transfer_time(profile["download_bytes"], topo.path(node, source))
-                assert service == service_time_us(length, topo.node(node).capacity_mips)
+                assert service == service_time_us(length, topo.nodes_by_id[node].capacity_mips)
 
 
 class TestTaskValidation:

@@ -2,19 +2,82 @@
 
 import math
 import random
+from dataclasses import dataclass
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metafog.config import resolve_config
-from metafog.engine import RngStream
+from metafog.engine import US_PER_S, RngStream, ms_to_us
 from metafog.errors import ConfigError, SimulationError
 from metafog.harness import ScenarioRunner
 from metafog.workload import Policy
-from metafog.world import Avatar, World, WorldGrid, movement_tick, region_of
+from metafog.world import World, WorldGrid, region_of
 
 GRID = WorldGrid(1000.0, 1000.0, 10, 10, 40.0)
+
+
+@dataclass
+class Walker:
+    """One avatar's movement state, for the scalar oracle."""
+
+    x: float
+    y: float
+    wx: float
+    wy: float
+    region: tuple[int, int]
+
+
+def movement_tick(w: Walker, speed: float, dt_s: float, rng: RngStream,
+                  grid: WorldGrid) -> Walker:
+    """The oracle for World.next_round: one avatar moves speed * dt_s toward its waypoint.
+
+    Arrival at the waypoint is capped exactly on it, and a new uniform-random
+    waypoint is drawn (two draws: x then y). The region is recomputed after
+    every tick. A round must equal this step applied to every avatar in user
+    order, bit for bit and draw for draw.
+    """
+    if dt_s <= 0:
+        raise SimulationError("movement_tick requires dt > 0")
+    step = speed * dt_s
+    dx = w.wx - w.x
+    dy = w.wy - w.y
+    dist = math.sqrt(dx * dx + dy * dy)
+    if dist <= step:
+        w.x = w.wx
+        w.y = w.wy
+        if step > 0.0:
+            w.wx = rng.random() * grid.width
+            w.wy = rng.random() * grid.height
+    else:
+        w.x += (dx / dist) * step
+        w.y += (dy / dist) * step
+    w.region = region_of((w.x, w.y), grid)
+    return w
+
+
+def walkers_of(world):
+    """Scalar copies of a world's movement state, as the next round starts from it."""
+    return [Walker(*state, avatar.region)
+            for *state, avatar in zip(*(s.tolist() for s in world._state), world.avatars)]
+
+
+def oracle_tick(world, walkers, user, dt_s):
+    """Tick one avatar of world by the oracle, keeping the spatial hash current."""
+    w = movement_tick(walkers[user], world.speed, dt_s, world.rng, world.grid)
+    avatar = world.avatars[user]
+    avatar.x, avatar.y, avatar.region = w.x, w.y, w.region
+    cx, cy = brute_force_cell(world, avatar)
+    world.rebucket(avatar, cx * world.ncy + cy)
+
+
+def apply_round(world, dt_s):
+    """Move every avatar by one round, written and rebucketed in user order."""
+    for avatar, x, y, region, c in zip(world.avatars, *world.next_round(dt_s)):
+        avatar.x, avatar.y, avatar.region = x, y, region
+        world.rebucket(avatar, c)
 
 
 class TestRegionOf:
@@ -44,32 +107,34 @@ class TestRegionOf:
 
 
 class TestMovementTick:
+    """The scalar oracle itself."""
+
     def test_zero_speed_stays_put(self):
-        avatar = Avatar(0, 10.0, 10.0, 500.0, 500.0, 0.0, (0, 0))
-        movement_tick(avatar, 1.0, RngStream(1, "movement"), GRID)
-        assert (avatar.x, avatar.y) == (10.0, 10.0)
-        assert (avatar.wx, avatar.wy) == (500.0, 500.0)
+        w = movement_tick(Walker(10.0, 10.0, 500.0, 500.0, (0, 0)), 0.0, 1.0,
+                          RngStream(1, "movement"), GRID)
+        assert (w.x, w.y) == (10.0, 10.0)
+        assert (w.wx, w.wy) == (500.0, 500.0)
 
     def test_exact_arrival_caps_on_waypoint_and_redraws(self):
-        avatar = Avatar(0, 0.0, 0.0, 3.0, 4.0, 5.0, (0, 0))
-        movement_tick(avatar, 1.0, RngStream(1, "movement"), GRID)
-        assert (avatar.x, avatar.y) == (3.0, 4.0)
-        assert (avatar.wx, avatar.wy) != (3.0, 4.0)  # fresh waypoint drawn
+        w = movement_tick(Walker(0.0, 0.0, 3.0, 4.0, (0, 0)), 5.0, 1.0,
+                          RngStream(1, "movement"), GRID)
+        assert (w.x, w.y) == (3.0, 4.0)
+        assert (w.wx, w.wy) != (3.0, 4.0)  # fresh waypoint drawn
 
     def test_linear_interpolation_toward_waypoint(self):
-        avatar = Avatar(0, 0.0, 0.0, 10.0, 0.0, 2.0, (0, 0))
-        movement_tick(avatar, 1.0, RngStream(1, "movement"), GRID)
-        assert (avatar.x, avatar.y) == (2.0, 0.0)
+        w = movement_tick(Walker(0.0, 0.0, 10.0, 0.0, (0, 0)), 2.0, 1.0,
+                          RngStream(1, "movement"), GRID)
+        assert (w.x, w.y) == (2.0, 0.0)
 
     def test_region_recomputed_after_tick(self):
-        avatar = Avatar(0, 99.0, 0.0, 500.0, 0.0, 5.0, (0, 0))
-        movement_tick(avatar, 1.0, RngStream(1, "movement"), GRID)
-        assert avatar.region == region_of((avatar.x, avatar.y), GRID)
+        w = movement_tick(Walker(99.0, 0.0, 500.0, 0.0, (0, 0)), 5.0, 1.0,
+                          RngStream(1, "movement"), GRID)
+        assert w.region == region_of((w.x, w.y), GRID)
 
     def test_rejects_non_positive_dt(self):
-        avatar = Avatar(0, 0.0, 0.0, 1.0, 1.0, 1.0, (0, 0))
         with pytest.raises(SimulationError):
-            movement_tick(avatar, 0.0, RngStream(1, "movement"), GRID)
+            movement_tick(Walker(0.0, 0.0, 1.0, 1.0, (0, 0)), 1.0, 0.0,
+                          RngStream(1, "movement"), GRID)
 
 
 def brute_force_nearby(world, user, radius):
@@ -130,8 +195,7 @@ class TestProximityQueries:
     def test_candidates_match_brute_force_after_movement(self):
         world = World(GRID, 40, 2.0, RngStream(11, "movement"))
         for step in range(20):
-            for user in range(40):
-                world.tick_avatar(user, 5.0)
+            apply_round(world, 5.0)
             for user in range(40):
                 assert world.collision_candidates(user) == brute_force_candidates(world, user)
 
@@ -153,13 +217,14 @@ class TestHashUnderMovement:
                                                           cells_per_s, radius_share, seed):
         grid = WorldGrid(width, height, 1, 1, cell)
         world = World(grid, n, cells_per_s * cell, RngStream(seed, "movement"))
+        walkers = walkers_of(world)
         radius = radius_share * cell
         # Colocate avatars: k takes j's position and waypoint, so the same
         # first tick moves both to the same point (and keeps them there at
         # speed 0). The first round ticks every avatar, which rebuckets k.
         pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
         for k, j in data.draw(st.lists(pairs, max_size=n), label="colocate"):
-            src, dst = world.avatars[j], world.avatars[k]
+            src, dst = walkers[j], walkers[k]
             dst.x, dst.y, dst.wx, dst.wy = src.x, src.y, src.wx, src.wy
         rounds = [list(range(n))] + data.draw(
             st.lists(st.lists(st.integers(0, n - 1), max_size=2 * n), min_size=1, max_size=6),
@@ -167,7 +232,7 @@ class TestHashUnderMovement:
         for users in rounds:
             dt_s = data.draw(st.floats(0.1, 2.0), label="dt_s")
             for user in users:
-                world.tick_avatar(user, dt_s)
+                oracle_tick(world, walkers, user, dt_s)
             self._check(world, radius)
         # the block tuples alias the live member lists, never copies of them
         for c, block in enumerate(world._neighbors):
@@ -200,62 +265,57 @@ class TestContainmentInvariant:
     def test_avatars_stay_in_bounds_with_consistent_regions(self):
         world = World(GRID, 30, 3.0, RngStream(9, "movement"))
         for _ in range(200):
-            for user in range(30):
-                avatar = world.tick_avatar(user, 2.0)
+            apply_round(world, 2.0)
+            for avatar in world.avatars:
                 assert 0 <= avatar.x <= GRID.width
                 assert 0 <= avatar.y <= GRID.height
                 assert avatar.region == region_of((avatar.x, avatar.y), GRID)
 
 
-def test_world_tick_equals_scalar_movement_tick():
-    """The World path and the bare movement_tick op must agree draw for draw."""
-    world = World(GRID, 1, 2.5, RngStream(21, "movement"))
-    mirror_rng = RngStream(21, "movement")
-    # replay the four construction draws (x, y, wx, wy)
-    x, y, wx, wy = (mirror_rng.random() * 1000 for _ in range(4))
-    mirror = Avatar(0, x, y, wx, wy, 2.5, region_of((x, y), GRID))
-    for _ in range(500):
-        world.tick_avatar(0, 3.0)
-        movement_tick(mirror, 3.0, mirror_rng, GRID)
-        real = world.avatars[0]
-        assert (real.x, real.y, real.wx, real.wy) == (mirror.x, mirror.y, mirror.wx, mirror.wy)
-        assert real.region == mirror.region
+def test_construction_draws_each_position_then_waypoint():
+    world = World(GRID, 5, 2.5, RngStream(21, "movement"))
+    rng = RngStream(21, "movement")
+    for user, avatar in enumerate(world.avatars):
+        x, y, wx, wy = (rng.random() * 1000 for _ in range(4))
+        assert (avatar.x, avatar.y, avatar.region) == (x, y, region_of((x, y), GRID))
+        assert [s[user] for s in world._state] == [x, y, wx, wy]
+        cx, cy = brute_force_cell(world, avatar)
+        assert world._cell_of[user] == cx * world.ncy + cy
 
 
 class TestMovementRounds:
-    """The runner's round path against one tick_avatar call per firing."""
+    """The runner's round path against the scalar oracle, one tick per firing."""
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), n=st.integers(1, 40), width=st.floats(1.0, 300.0),
            height=st.floats(1.0, 300.0), regions=st.tuples(st.integers(1, 4), st.integers(1, 4)),
            cell_share=st.floats(0.05, 1.0), tick_ms=st.sampled_from([0.001, 0.25, 1000.0, 7.5]),
-           seed=st.integers(0, 1_000))
+           share=st.sampled_from([0.0, 0.01, 0.3, 1.5]), seed=st.integers(0, 1_000))
     def test_rounds_equal_repeated_tick_avatar(self, data, n, width, height, regions,
-                                               cell_share, tick_ms, seed):
+                                               cell_share, tick_ms, share, seed):
         cell = cell_share * min(width, height)
+        # The speed as a share of the width per tick: 0 stays put, above 1
+        # arrives on every tick and draws a fresh waypoint.
+        dt_s = ms_to_us(tick_ms) / US_PER_S
         cfg = resolve_config({
             "world": {"width": width, "height": height, "regions_x": regions[0],
                       "regions_y": regions[1], "cell": cell, "proximity_radius": cell,
-                      "movement_tick_ms": tick_ms},
+                      "movement_tick_ms": tick_ms, "avatar_speed": share * width / dt_s},
             "workload": {"user_count": n, "message_rate_per_user_per_s": 0.0,
                          "tx_rate_per_user_per_s": 0.0},
             "experiment": {"horizon_ms": 0.0, "warmup_ms": 0.0},
         })
         runner = ScenarioRunner(cfg, Policy.FOG_EDGE, seed)
         world = runner.world
-        mirror = World(runner.grid, n, 1.0, RngStream(seed, "movement"))
-        dt_s = runner.dt_s
-        # Speeds as a share of the width per tick: 0 stays put, above 1 arrives
-        # on every tick and draws a fresh waypoint.
-        shares = data.draw(st.lists(st.sampled_from([0.0, 0.01, 0.3, 1.5]),
-                                    min_size=n, max_size=n), label="speed shares")
-        for a, b, share in zip(world.avatars, mirror.avatars, shares):
-            a.speed = b.speed = share * width / dt_s
+        mirror = World(runner.grid, n, world.speed, RngStream(seed, "movement"))
+        walkers = walkers_of(mirror)
+        assert runner.dt_s == dt_s
         pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
         for k, j in data.draw(st.lists(pairs, max_size=n), label="colocate"):
-            for w in (world, mirror):
-                src, dst = w.avatars[j], w.avatars[k]
-                dst.x, dst.y, dst.wx, dst.wy = src.x, src.y, src.wx, src.wy
+            for column in world._state:
+                column[k] = column[j]
+            src, dst = walkers[j], walkers[k]
+            dst.x, dst.y, dst.wx, dst.wy = src.x, src.y, src.wx, src.wy
         firings = data.draw(st.integers(1, 5 * n), label="firings")
         cuts = sorted(set(data.draw(st.lists(st.integers(1, firings)), label="cuts"))
                       | {firings})
@@ -266,11 +326,15 @@ class TestMovementRounds:
             runner._on_movement_tick(lo, hi)
             for i in range(lo, hi):
                 r, u = divmod(i, n)
-                mirror.tick_avatar(u, dt_s)
+                oracle_tick(mirror, walkers, u, dt_s)
                 created = (u * tick) // n + (r + 1) * tick
                 expected += [(0, u, created, 0), (1, u, created, mirror.collision_candidates(u))]
             lo = hi
             assert self._state(world) == self._state(mirror)
+            # the world holds the round in progress: waypoints of the users ticked in it
+            m = (hi - 1) % n + 1
+            assert [column[:m].tolist() for column in world._state] == \
+                [[getattr(w, f) for w in walkers[:m]] for f in ("x", "y", "wx", "wy")]
             if hi % n == 0:
                 assert world.rng._rng.getstate() == mirror.rng._rng.getstate()
         rows = [tuple(runner.pipeline._buffer[f] for f in range(i, i + 6))
@@ -280,9 +344,25 @@ class TestMovementRounds:
 
     @staticmethod
     def _state(world):
-        return ([(a.x, a.y, a.wx, a.wy, a.region) for a in world.avatars],
+        return ([(a.x, a.y, a.region) for a in world.avatars],
                 [[a.user for a in members] for members in world._members],
                 world._cell_of, world._nbsum)
+
+    def test_round_caps_an_exact_arrival_and_redraws(self):
+        # a 3-4-5 step of exactly the distance lands on the waypoint
+        world = World(GRID, 1, 5.0, RngStream(1, "movement"))
+        world._state = tuple(np.array([v]) for v in (0.0, 0.0, 3.0, 4.0))
+        rng = RngStream(1, "movement")
+        for _ in range(4):  # replay the construction draws
+            rng.random()
+        walker = movement_tick(Walker(0.0, 0.0, 3.0, 4.0, (0, 0)), 5.0, 1.0, rng, GRID)
+        assert world.next_round(1.0) == ([3.0], [4.0], [(0, 0)], [0])
+        assert [s.tolist() for s in world._state] == [[3.0], [4.0], [walker.wx], [walker.wy]]
+
+    def test_round_clamps_the_max_corner_into_the_last_region_and_cell(self):
+        world = World(GRID, 1, 0.0, RngStream(1, "movement"))
+        world._state = tuple(np.array([v]) for v in (1000.0, 1000.0, 0.0, 0.0))
+        assert world.next_round(1.0) == ([1000.0], [1000.0], [(9, 9)], [25 * 25 - 1])
 
     def test_round_refuses_non_positive_dt(self):
         with pytest.raises(SimulationError):
