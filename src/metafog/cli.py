@@ -42,12 +42,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_values(text: str, param: str) -> list:
+    parse, expected = (int, "an integer") if param == "user_count" else (float, "a number")
     values = []
     for part in text.split(","):
         part = part.strip()
         if not part:
             continue
-        values.append(int(part) if param == "user_count" else float(part))
+        try:
+            values.append(parse(part))
+        except ValueError:
+            raise ConfigError(f"--values: {part!r} is not {expected} "
+                              f"(--param {param})") from None
     if not values:
         raise ConfigError("--values must contain at least one number")
     return values

@@ -18,7 +18,6 @@ so serial and parallel execution produce identical output.
 from __future__ import annotations
 
 import json
-from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
@@ -80,23 +79,25 @@ class ScenarioResult:
 # The run resolves the queues once per window of simulated time.
 WINDOW_US = US_PER_S
 
-# Columns of a submitted task: its policy-free fields. TID, the task id, is
-# its submit index, which breaks ties in FIFO and emission order; REGION
-# indexes the world grid's regions, the owner's at creation.
-_TID, _KIND, _OWNER, _CREATED, _REGION, _CANDIDATES = range(6)
-_SUBMITTED = 6
-# Columns of a placed task: the submitted fields up to CREATED, the server
-# and times of its placement, then the completion and finish times that the
-# resolve pass adds.
-_SERVER, _UP, _SERVICE, _DOWN, _DONE, _FINISH = range(4, 10)
+# Columns of a submitted task: its policy-free fields. REGION indexes the
+# world grid's regions, the owner's at creation. The task id is not buffered:
+# it is implied by submission order, the task's position in the buffer plus
+# the count submitted before it, and breaks ties in FIFO and emission order.
+_KIND, _OWNER, _CREATED, _REGION, _CANDIDATES = range(5)
+_SUBMITTED = 5
+# Columns of a placed task: the submitted fields up to CREATED, the task id,
+# the server and times of its placement, then the completion and finish times
+# that the resolve pass adds.
+_TID, _SERVER, _UP, _SERVICE, _DOWN, _DONE, _FINISH = range(3, 10)
 _PLACED = _DONE
 
 
 class TaskPipeline:
     """Places tasks under one policy, queues them FIFO and records their latency.
 
-    submit() numbers a task by submission and buffers its policy-free fields.
-    resolve(cutoff) places the tasks submitted since the last call, here and
+    submit() appends a task's policy-free fields to a plain list; its id is
+    implied by submission order and is not buffered. resolve(cutoff) converts
+    the list once, numbers its rows and places the tasks, here and
     in each of peers: the pipelines that see the same submissions under other
     placements. Each then serves every placed task that reaches its server by
     the cutoff and emits, in (finish, completion, arrival, task id) order,
@@ -111,7 +112,7 @@ class TaskPipeline:
         "placement", "warmup_us", "record_sink", "on_validated", "peers",
         "busy_until", "totals", "generated", "completed",
         "records_emitted", "tasks_generated",
-        "_submitted", "_buffer", "_new_txs", "_held", "_buckets", "_txs", "_shared",
+        "_buffer", "_new_txs", "_held", "_buckets", "_txs", "_shared",
     )
 
     def __init__(self, placement: Placement, warmup_us: int = 0,
@@ -127,9 +128,8 @@ class TaskPipeline:
         self.generated = [0] * len(TaskKind)
         self.completed = [0] * len(TaskKind)
         self.records_emitted = 0
-        self.tasks_generated = 0  # taken in by resolve
-        self._submitted = 0
-        self._buffer = array("q")  # submitted since the last resolve, _SUBMITTED fields each
+        self.tasks_generated = 0  # taken in by resolve; the id of the next task taken in
+        self._buffer: list[int] = []  # submitted since the last resolve, _SUBMITTED fields each
         self._new_txs: dict[int, Transaction] = {}  # the same, by task id
         self._held = np.empty((0, _PLACED), dtype=np.int64)  # placed, not yet arrived
         self._buckets: dict[int, list[np.ndarray]] = {}  # served, by finish // WINDOW_US
@@ -139,11 +139,9 @@ class TaskPipeline:
     def submit(self, kind: int, owner: int, created_us: int, region: int = 0,
                candidates: int = 0, tx: Transaction | None = None) -> None:
         """Buffer a generated task; its id is its submit index, its uplink starts at created_us."""
-        task_id = self._submitted
-        self._submitted = task_id + 1
-        self._buffer.extend((task_id, kind, owner, created_us, region, candidates))
         if tx is not None:
-            self._new_txs[task_id] = tx
+            self._new_txs[self.tasks_generated + len(self._buffer) // _SUBMITTED] = tx
+        self._buffer.extend((kind, owner, created_us, region, candidates))
 
     def resolve(self, cutoff_us: int) -> None:
         """Serve the tasks that arrive by cutoff_us; emit those that finish by it.
@@ -152,8 +150,8 @@ class TaskPipeline:
         submitted. A server's future depends on its past only through
         busy_until, so calls with increasing cutoffs compose exactly.
         """
-        submitted = np.frombuffer(self._buffer, dtype=np.int64).reshape(-1, _SUBMITTED)
-        self._buffer = array("q")
+        submitted = np.array(self._buffer, dtype=np.int64).reshape(-1, _SUBMITTED)
+        self._buffer = []
         txs, self._new_txs = self._new_txs, {}
         for pipeline in (self, *self.peers):
             pipeline._take(submitted, txs)
@@ -162,16 +160,22 @@ class TaskPipeline:
 
     def _take(self, submitted: np.ndarray, txs: dict[int, Transaction]) -> None:
         kind = submitted[:, _KIND]
+        first = self.tasks_generated
         self.tasks_generated += len(submitted)
         for k, n in enumerate(np.bincount(kind, minlength=len(TaskKind)).tolist()):
             self.generated[k] += n
         self._txs.update(txs)
-        placed = np.empty((len(submitted), _PLACED), dtype=np.int64)
-        placed[:, :_SERVER] = submitted[:, :_SERVER]
+        # Place the new tasks straight into their rows of the held block: no copy of them.
+        held = len(self._held)
+        rows = np.empty((held + len(submitted), _PLACED), dtype=np.int64)
+        rows[:held] = self._held
+        placed = rows[held:]
+        placed[:, :_TID] = submitted[:, :_TID]
+        placed[:, _TID] = np.arange(first, self.tasks_generated)
         placed[:, _SERVER], placed[:, _UP], placed[:, _SERVICE], placed[:, _DOWN] = \
             self.placement.apply(kind, submitted[:, _OWNER], submitted[:, _REGION],
                                  submitted[:, _CANDIDATES])
-        self._held = np.concatenate((self._held, placed))
+        self._held = rows
 
     def _serve(self, cutoff_us: int) -> None:
         # Work on index arrays and columns: each copy of whole rows adds to peak memory.
@@ -242,8 +246,8 @@ class TaskPipeline:
         share = self._shared.setdefault
         wait = rows[:, _DONE] - rows[:, _SERVICE] - rows[:, _CREATED] - rows[:, _UP]
         total = rows[:, _FINISH] - rows[:, _CREATED]
-        for (tid, kind, owner, created, server, up, service, down), w, t in zip(
-                rows[:, _TID:_DONE].tolist(), wait.tolist(), total.tolist()):
+        for (kind, owner, created, tid, server, up, service, down), w, t in zip(
+                rows[:, :_DONE].tolist(), wait.tolist(), total.tolist()):
             sink(LatencyRecord(tid, kind, share(owner, owner), policy, node_ids[server],
                                created, share(up, up), w, share(service, service),
                                share(down, down), t))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+from functools import partial
 from pathlib import Path
 
 from .errors import ConfigError
@@ -51,34 +52,64 @@ def write_results_csv(results: list[ScenarioResult], path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _value_from_str(text: str):
+    return int(text) if text.lstrip("-").isdigit() else float(text)
+
+
+def _field(path, line: int, row: dict, column: str, parse=str):
+    """One field of a results.csv row, parsed; a ConfigError names what is wrong with it."""
+    text = row[column]  # None when the row is short
+    if text is None:
+        problem = "no value"
+    else:
+        try:
+            return parse(text)
+        except ValueError:
+            problem = f"cannot read {text!r}"
+    raise ConfigError(f"{path}: row {line}, column {column!r}: {problem}")
+
+
 def parse_results_csv(path: str | Path) -> list[ScenarioResult]:
-    """Reconstruct ScenarioResults (the CSV-carried fields) from results.csv."""
+    """Reconstruct ScenarioResults (the CSV-carried fields) from results.csv.
+
+    A missing column, or a field that is missing or does not parse, is a
+    ConfigError that names the file, the row (the header is row 1) and the
+    column.
+    """
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        by_scenario: dict[str, ScenarioResult] = {}
-        for row in reader:
-            key = row["scenario"]
-            result = by_scenario.get(key)
-            if result is None:
-                value = row["value"]
-                result = ScenarioResult(
-                    scenario_id=key,
-                    policy=row["policy"],
-                    param=row["param"],
-                    value=int(value) if value.lstrip("-").isdigit() else float(value),
-                    replication=int(row["replication"]),
-                    seed=int(row["seed"]),
-                    config_digest=row["config_digest"],
-                    stats={},
-                )
-                by_scenario[key] = result
-            result.stats[row["kind"]] = KindStats(
-                int(row["count"]),
-                _ms_str_to_us(row["mean_ms"]),
-                _ms_str_to_us(row["p50_ms"]),
-                _ms_str_to_us(row["p95_ms"]),
-                _ms_str_to_us(row["p99_ms"]),
+        try:
+            columns = reader.fieldnames or ()
+            rows = [(reader.line_num, row) for row in reader]
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise ConfigError(f"{path}: not CSV text ({exc})") from None
+    missing = [c for c in CSV_HEADER.split(",") if c not in columns]
+    if missing:
+        raise ConfigError(f"{path}: row 1: no column {missing[0]!r}")
+    by_scenario: dict[str, ScenarioResult] = {}
+    for line, row in rows:
+        field = partial(_field, path, line, row)
+        key = field("scenario")
+        result = by_scenario.get(key)
+        if result is None:
+            result = ScenarioResult(
+                scenario_id=key,
+                policy=field("policy"),
+                param=field("param"),
+                value=field("value", _value_from_str),
+                replication=field("replication", int),
+                seed=field("seed", int),
+                config_digest=field("config_digest"),
+                stats={},
             )
+            by_scenario[key] = result
+        result.stats[field("kind")] = KindStats(
+            field("count", int),
+            field("mean_ms", _ms_str_to_us),
+            field("p50_ms", _ms_str_to_us),
+            field("p95_ms", _ms_str_to_us),
+            field("p99_ms", _ms_str_to_us),
+        )
     return list(by_scenario.values())
 
 

@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -284,6 +285,11 @@ class TestResolve:
         records, validated = [], []
         pipeline = TaskPipeline(_GivenPlacement(tasks), record_sink=records.append)
         pipeline.on_validated = lambda at, txs: validated.append((at, txs))
+        # a peer takes in the same submissions from the pipeline's buffer
+        peer_records, peer_validated = [], []
+        peer = TaskPipeline(_GivenPlacement(tasks), record_sink=peer_records.append)
+        peer.on_validated = lambda at, txs: peer_validated.append((at, txs))
+        pipeline.peers = [peer]
         submitted = 0
         for cut in sorted(cuts) + [6_000]:
             while submitted < len(tasks) and tasks[submitted][0] <= cut:
@@ -305,15 +311,17 @@ class TestResolve:
             busy[server] = max(arrival, busy[server]) + service
             finished.append((busy[server] + down, busy[server], arrival, i))
         finished = sorted(f for f in finished if f[0] <= 6_000)
-        assert [(r.task_id, r.wait_us, r.total_us) for r in records] == [
-            (i, done - tasks[i][3] - arrival, finish - tasks[i][0])
-            for finish, done, arrival, i in finished]
         groups = {}
         for finish, _, _, i in finished:
             if tasks[i][5]:
                 groups.setdefault(finish, []).append(f"tx{i}")
-        assert validated == list(groups.items())
-        assert pipeline.in_flight() == pipeline.unfinished() == len(tasks) - len(finished)
+        for p, p_records, p_validated in ((pipeline, records, validated),
+                                          (peer, peer_records, peer_validated)):
+            assert [(r.task_id, r.wait_us, r.total_us) for r in p_records] == [
+                (i, done - tasks[i][3] - arrival, finish - tasks[i][0])
+                for finish, done, arrival, i in finished]
+            assert p_validated == list(groups.items())
+            assert p.in_flight() == p.unfinished() == len(tasks) - len(finished)
 
 
 class TestSweep:
@@ -526,3 +534,33 @@ class TestCli:
                          "--values", "4,0", "--reps", "1", "--out", str(tmp_path / "x")])
         assert code == 2
         assert "user_count=0 rep0 (seed 42)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("param, values, bad", [
+        ("user_count", "abc", "'abc'"),
+        ("user_count", "1.5", "'1.5'"),
+        ("tx_rate", "1,x", "'x'"),
+    ])
+    def test_bad_sweep_values_exit_2(self, param, values, bad, cfg_file, tmp_path, capsys):
+        code = cli_main(["sweep", "--config", str(cfg_file), "--param", param,
+                         "--values", values, "--reps", "1", "--out", str(tmp_path / "x")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --values") and bad in err and "Traceback" not in err
+
+    _ROW = "v/cloudonly/rep0,cloudonly,user_count,4,0,overall,3,1.500,1.000,2.000,2.000,42,d"
+
+    @pytest.mark.parametrize("lines, where", [
+        ([CSV_HEADER.replace("scenario,", ""), _ROW.split(",", 1)[1]],
+         "row 1: no column 'scenario'"),
+        ([CSV_HEADER, _ROW, _ROW.replace("1.500", "1.x")], "row 3, column 'mean_ms'"),
+        ([CSV_HEADER, _ROW.rsplit(",", 2)[0]], "row 2, column 'seed'"),
+        ([CSV_HEADER, _ROW.replace("cloudonly", "cloud\udcffonly")], "not CSV text"),
+    ])
+    def test_malformed_results_csv_exits_2(self, lines, where, tmp_path, capsys):
+        path = tmp_path / "results.csv"
+        path.write_bytes(("\n".join(lines) + "\n").encode(errors="surrogateescape"))
+        with pytest.raises(ConfigError, match=f"^{re.escape(f'{path}: {where}')}"):
+            parse_results_csv(path)
+        assert cli_main(["report", "--in", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: {where}" in err and "Traceback" not in err

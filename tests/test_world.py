@@ -337,9 +337,9 @@ class TestMovementRounds:
                 [[getattr(w, f) for w in walkers[:m]] for f in ("x", "y", "wx", "wy")]
             if hi % n == 0:
                 assert world.rng._rng.getstate() == mirror.rng._rng.getstate()
-        rows = [tuple(runner.pipeline._buffer[f] for f in range(i, i + 6))
-                for i in range(0, len(runner.pipeline._buffer), 6)]
-        assert [(kind, owner, created, cand) for _, kind, owner, created, _, cand in rows] \
+        buffer = runner.pipeline._buffer
+        rows = [tuple(buffer[i:i + 5]) for i in range(0, len(buffer), 5)]
+        assert [(kind, owner, created, cand) for kind, owner, created, _, cand in rows] \
             == expected
 
     @staticmethod
