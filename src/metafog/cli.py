@@ -7,9 +7,8 @@ import sys
 
 from .config import load_config
 from .errors import ConfigError
-from .harness import ScenarioRunner, sweep
+from .harness import run_scenario, sweep
 from .reporting import emit, parse_results_csv, reduction_table
-from .workload import Policy
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -60,12 +59,8 @@ def _parse_values(text: str, param: str) -> list:
 
 def _cmd_run(args) -> int:
     cfg = load_config(args.config)
-    policy = Policy.parse(args.policy)
-    runner = ScenarioRunner(cfg, policy, args.seed)
-    runner.run()
-    result = runner.collect(f"run/{policy.value}/seed{args.seed}", "none",
-                            cfg["workload"]["user_count"], 0)
-    files = emit([result], args.out, cfg, chain_lines=runner.chain.export_lines())
+    result = run_scenario(cfg, args.policy, args.seed)
+    files = emit([result], args.out, cfg)
     overall = result.stats["overall"]
     mean = "n/a" if overall.mean_us is None else f"{overall.mean_us / 1000:.3f} ms"
     print(f"{result.scenario_id}: {overall.count} records, mean latency {mean}")

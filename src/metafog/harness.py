@@ -62,7 +62,8 @@ class ScenarioResult:
 
     stats maps 'overall' and each task-kind label to its KindStats; extras
     carries the reconciliation counters (conservation, skips, ledger state)
-    that go into the run metadata file rather than the CSV.
+    that go into the run metadata file rather than the CSV. run_scenario sets
+    chain, the ledger export; other results do not hold one.
     """
 
     scenario_id: str
@@ -74,6 +75,7 @@ class ScenarioResult:
     config_digest: str
     stats: dict[str, KindStats]
     extras: dict = field(default_factory=dict)
+    chain: list[str] = field(default_factory=list)
 
 
 # The run resolves the queues once per window of simulated time.
@@ -341,7 +343,6 @@ class ScenarioRunner:
         self.messages_sent = 0
         self.messages_skipped = 0
         self.tx_submitted = 0
-        self._next_asset_id = 0
         self._round_index = -1  # the movement round held in _round
         self._round = None
         self._regions_y = world_cfg["regions_y"]
@@ -436,8 +437,8 @@ class ScenarioRunner:
         if seller >= user:
             seller += 1
         amount = 1 + stream.randrange(self.tx_amount_max)
-        tx = Transaction(self.tx_submitted, user, seller, self._next_asset_id, amount, now)
-        self._next_asset_id += 1
+        # each transaction buys a fresh asset, numbered like the transaction
+        tx = Transaction(self.tx_submitted, user, seller, self.tx_submitted, amount, now)
         self.tx_submitted += 1
         validate_transaction(tx)
         self._submit_region_task(TaskKind.TRANSACTION_VALIDATION, user, now, tx)
@@ -505,7 +506,6 @@ class ScenarioRunner:
             "blocks_formed": len(chain.blocks),
             "chain_tx_count": sum(len(b.txs) for b in chain.blocks),
             "chain_valid": chain.verify(),
-            "events_scheduled": self.engine.scheduled_count,
             "events_dispatched": self.engine.dispatched_count,
             "horizon_ms": self.cfg["experiment"]["horizon_ms"],
             "warmup_ms": self.cfg["experiment"]["warmup_ms"],
@@ -539,28 +539,22 @@ def _kind_stats(sorted_totals: np.ndarray) -> KindStats:
 
 
 def run_scenario(config: dict | None, policy: Policy | str, seed: int, *,
-                 record_sink: Callable | None = None, param: str = "none",
-                 value: float | None = None, replication: int = 0) -> ScenarioResult:
+                 record_sink: Callable | None = None) -> ScenarioResult:
     """Run one scenario and aggregate its latency records.
 
     config may be a partial override dict (merged into the defaults) or None
     for the defaults themselves. The record_sink, when given, receives every
-    LatencyRecord as it is emitted.
+    LatencyRecord as it is emitted. The result's id is run/<policy>/seed<seed>,
+    with param 'none', the user count as value and replication 0, and it
+    carries the ledger export as chain.
     """
     cfg = resolve_config(config)
     pol = Policy.parse(policy) if isinstance(policy, str) else policy
-    if value is None:
-        value = cfg["workload"]["user_count"]
-    return _run_policies(cfg, (pol,), seed, param, value, replication, record_sink)[0]
-
-
-def _run_policies(cfg: dict, policies: tuple[Policy, ...], seed: int, param: str, value,
-                  replication: int, record_sink: Callable | None = None) -> list[ScenarioResult]:
-    """Generate one scenario once; its result under each policy, in the order given."""
-    runner = ScenarioRunner(cfg, policies, seed, record_sink)
+    runner = ScenarioRunner(cfg, pol, seed, record_sink)
     runner.run()
-    return [runner.collect(f"{param}={value_label(value)}/{pol.value}/rep{replication}",
-                           param, value, replication, pol) for pol in policies]
+    result = runner.collect(f"run/{pol.value}/seed{seed}", "none", cfg["workload"]["user_count"], 0)
+    result.chain = runner.chain.export_lines()
+    return result
 
 
 def value_label(value) -> str:
@@ -578,13 +572,11 @@ def _scenario_overrides(cfg: dict, param: str, value) -> dict:
     scenario_cfg = json.loads(json.dumps(cfg))  # deep copy, JSON-typed by construction
     if param == "user_count":
         scenario_cfg["workload"]["user_count"] = int(value)
-    elif param == "tx_rate":
-        # swept value is the aggregate transaction arrival rate per second,
-        # spread uniformly over the fixed user population
+    else:
+        # tx_rate: the swept value is the aggregate transaction arrival rate
+        # per second, spread uniformly over the fixed user population
         users = scenario_cfg["workload"]["user_count"]
         scenario_cfg["workload"]["tx_rate_per_user_per_s"] = value / users
-    else:
-        raise ConfigError(f"unknown sweep parameter {param!r} (expected one of {SWEEP_PARAMS})")
     return scenario_cfg
 
 
@@ -592,8 +584,11 @@ def _sweep_worker(job: tuple) -> list[ScenarioResult]:
     """One (value, replication) of a sweep under both policies; a failure names it."""
     scenario_cfg, seed, param, value, replication = job
     try:
-        return _run_policies(resolve_config(scenario_cfg), (Policy.CLOUD_ONLY, Policy.FOG_EDGE),
-                             seed, param, value, replication)
+        runner = ScenarioRunner(resolve_config(scenario_cfg),
+                                (Policy.CLOUD_ONLY, Policy.FOG_EDGE), seed)
+        runner.run()
+        return [runner.collect(f"{param}={value_label(value)}/{pol.value}/rep{replication}",
+                               param, value, replication, pol) for pol in runner.policies]
     except Exception as exc:
         where = f"sweep scenario {param}={value_label(value)} rep{replication} (seed {seed})"
         if isinstance(exc, ConfigError):
@@ -611,7 +606,8 @@ def sweep(config: dict | None, param: str, values: list | None = None,
     ordered by (value, policy, replication) no matter how execution was
     scheduled, and a parallel run returns exactly what a serial run returns.
     A scenario that fails raises an error naming its value, replication and
-    seed; a ConfigError stays a ConfigError.
+    seed; a ConfigError stays a ConfigError. A value given twice is refused
+    before any scenario runs.
     """
     cfg = resolve_config(config)
     exp = cfg["experiment"]
@@ -623,6 +619,9 @@ def sweep(config: dict | None, param: str, values: list | None = None,
         replications = exp["replications"]
     if replications < 1:
         raise ConfigError("replications must be >= 1")
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ConfigError(f"sweep values: {value_label(value)} is given more than once")
 
     jobs = [(_scenario_overrides(cfg, param, value), exp["base_seed"] + rep, param, value, rep)
             for value in values for rep in range(replications)]

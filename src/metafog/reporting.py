@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 from functools import partial
 from pathlib import Path
 
@@ -26,14 +27,20 @@ _KIND_ROWS = ["overall"] + KIND_LABEL_LIST
 def _us_to_ms_str(us: int | None) -> str:
     if us is None:
         return ""
-    return f"{us // 1000}.{us % 1000:03d}"
+    whole, frac = divmod(abs(us), 1000)
+    return f"{'-' if us < 0 else ''}{whole}.{frac:03d}"
+
+
+_MS = re.compile(r"-?[0-9]+\.[0-9]{3}")  # as _us_to_ms_str writes them
 
 
 def _ms_str_to_us(text: str) -> int | None:
+    """Exact inverse of _us_to_ms_str; any other text is a ValueError."""
     if text == "":
         return None
-    whole, _, frac = text.partition(".")
-    return int(whole) * 1000 + int((frac + "000")[:3])
+    if _MS.fullmatch(text) is None:
+        raise ValueError(f"not milliseconds with three decimals: {text!r}")
+    return int(text.replace(".", ""))
 
 
 def write_results_csv(results: list[ScenarioResult], path: str | Path) -> None:
@@ -151,13 +158,7 @@ def write_plot_data(results: list[ScenarioResult], param: str, path: str | Path)
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-# Extras that count the simulator's own events rather than model outcomes;
-# they stay on ScenarioResult.extras but are not part of the run's outputs.
-_RUN_COUNTERS = ("events_scheduled", "events_dispatched")
-
-
-def write_metadata(cfg: dict, results: list[ScenarioResult], path: str | Path,
-                   notes: dict | None = None) -> None:
+def write_metadata(cfg: dict, results: list[ScenarioResult], path: str | Path) -> None:
     """Full resolved config plus per-scenario reconciliation counters."""
     payload = {
         "config": cfg,
@@ -166,7 +167,6 @@ def write_metadata(cfg: dict, results: list[ScenarioResult], path: str | Path,
             "tx_rate_sweep_interpretation":
                 "swept value is the aggregate transaction arrival rate per second, "
                 "divided evenly across the fixed user population",
-            **(notes or {}),
         },
         "scenarios": [
             {
@@ -177,7 +177,8 @@ def write_metadata(cfg: dict, results: list[ScenarioResult], path: str | Path,
                 "replication": r.replication,
                 "seed": r.seed,
                 "config_digest": r.config_digest,
-                **{k: v for k, v in r.extras.items() if k not in _RUN_COUNTERS},
+                # counts the simulator's own events, not model outcomes: not an output
+                **{k: v for k, v in r.extras.items() if k != "events_dispatched"},
             }
             for r in results
         ],
@@ -186,8 +187,9 @@ def write_metadata(cfg: dict, results: list[ScenarioResult], path: str | Path,
 
 
 def emit(results: list[ScenarioResult], out_dir: str | Path, cfg: dict,
-         param: str | None = None, chain_lines: list[str] | None = None) -> list[Path]:
-    """Write the output tree for a run or sweep; returns the files written."""
+         param: str | None = None) -> list[Path]:
+    """Write the output tree for a run or sweep, and chain.txt for exactly one
+    result; returns the files written."""
     if not results:
         raise ConfigError("emit called with no results")
     out = Path(out_dir)
@@ -202,9 +204,10 @@ def emit(results: list[ScenarioResult], out_dir: str | Path, cfg: dict,
         meta_path = out / "run_metadata.json"
         write_metadata(cfg, results, meta_path)
         written.append(meta_path)
-        if chain_lines is not None:
+        if len(results) == 1:
+            chain = results[0].chain
             chain_path = out / "chain.txt"
-            chain_path.write_text("\n".join(chain_lines) + ("\n" if chain_lines else ""))
+            chain_path.write_text("\n".join(chain) + ("\n" if chain else ""))
             written.append(chain_path)
         return written
     except OSError as exc:

@@ -6,12 +6,15 @@ must reproduce them exactly. A change that alters outputs on purpose re-pins
 the affected hashes and says why.
 """
 
+import dataclasses
 import hashlib
+import json
 
 import pytest
 
+from metafog.cli import main as cli_main
 from metafog.config import resolve_config
-from metafog.harness import ScenarioRunner, sweep
+from metafog.harness import run_scenario, sweep
 from metafog.reporting import emit, reduction_table
 from metafog.workload import Policy
 
@@ -79,6 +82,12 @@ GOLDEN = {
         "run_metadata.json": "3fab409efc9a15ab70826813380d1ea47e41c18611a18e6c60c3713a20e3eaf5",
         "chain.txt": "3bb5b991cc72714c8dbd97ef93ad6a1433353ac2d3a2eabed5e782fb48a0aaf7",
     },
+    # `metafog run` on the cloud-ledger overrides; its scenario id is run/cloudonly/seed42
+    "cli-run-cloud-ledger": {
+        "results.csv": "c1bdb04988b30b25384e8b5b41b2ce7dcfcaa5494a38674734c3c73fc16f9b7a",
+        "run_metadata.json": "42a7a639277b97b0273ef0aa8c5bf70ef7de0711eed0fbed1949a479549c13a7",
+        "chain.txt": "e6d9ab61eebf5f9617125c3d13854ae457dd53a9d5f1b615f865baf6e601c4bf",
+    },
     "sweep-users": {
         "results.csv": "9917739a715907c13d32ee0fbc370f341478b05c6270f47ceb288f63b16c487f",
         "fig_latency_vs_users.dat": "ad667c8f706af26356f09fb768e1e1b5949d261c5b44036898fcb9aac848d103",
@@ -95,10 +104,19 @@ def scenario_digests(name: str, out) -> dict[str, str]:
     """Run one pinned scenario the way `metafog run` does, and hash what it writes."""
     policy, overrides = SCENARIOS[name]
     cfg = resolve_config(overrides)
-    runner = ScenarioRunner(cfg, policy, SEED)
-    runner.run()
-    result = runner.collect(f"golden/{name}", "none", cfg["workload"]["user_count"], 0)
-    return _digests(emit([result], out, cfg, chain_lines=runner.chain.export_lines()))
+    result = dataclasses.replace(run_scenario(cfg, policy, SEED), scenario_id=f"golden/{name}")
+    return _digests(emit([result], out, cfg))
+
+
+def cli_run_digests(tmp_path) -> dict[str, str]:
+    """Run `metafog run` on the cloud-ledger overrides, and hash what it writes."""
+    _, overrides = SCENARIOS["cloud-ledger"]
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(overrides))
+    out = tmp_path / "out"
+    assert cli_main(["run", "--config", str(cfg_file), "--policy", "cloud", "--seed", str(SEED),
+                     "--out", str(out)]) == 0
+    return _digests(out / name for name in ("results.csv", "run_metadata.json", "chain.txt"))
 
 
 # reduction_table of the SWEEP results, as `metafog report` prints it
@@ -122,6 +140,10 @@ def sweep_digests(results, out) -> dict[str, str]:
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_scenario_outputs_match_golden(name, tmp_path):
     assert scenario_digests(name, tmp_path) == GOLDEN[name]
+
+
+def test_cli_run_outputs_match_golden(tmp_path):
+    assert cli_run_digests(tmp_path) == GOLDEN["cli-run-cloud-ledger"]
 
 
 def test_sweep_tree_matches_golden(sweep_results, tmp_path):

@@ -18,6 +18,8 @@ from metafog.harness import ScenarioRunner, TaskPipeline, run_scenario, sweep
 from metafog.workload import Policy, TaskKind
 from metafog.reporting import (
     CSV_HEADER,
+    _ms_str_to_us,
+    _us_to_ms_str,
     emit,
     parse_results_csv,
     plot_series,
@@ -357,6 +359,14 @@ class TestSweep:
         for name in ("results.csv", "fig_latency_vs_users.dat", "run_metadata.json"):
             assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
 
+    @pytest.mark.parametrize("param, values", [("user_count", [4, 8, 4]),
+                                               ("tx_rate", [2, 2.0])])
+    def test_a_repeated_value_is_refused_before_any_scenario_runs(self, param, values,
+                                                                  monkeypatch):
+        monkeypatch.setattr(ScenarioRunner, "run", None)  # any run would raise TypeError
+        with pytest.raises(ConfigError, match="^sweep values: [42] is given more than once$"):
+            sweep(SMALL, param, values, replications=1)
+
     @pytest.mark.parametrize("parallel", [False, True])
     def test_a_failing_scenario_is_named_and_stays_a_config_error(self, parallel):
         # user_count 0 is refused by the config check inside the worker
@@ -459,6 +469,29 @@ class TestEmission:
         table = reduction_table(results)
         assert "4" in table and "8" in table and "%" in table
 
+    def test_chain_txt_is_written_for_exactly_one_result(self, tmp_path):
+        cfg = resolve_config(SMALL)
+        one, other = run_scenario(cfg, "fogedge", 3), run_scenario(cfg, "cloud", 3)
+        assert one.chain
+        single = emit([one], tmp_path / "one", cfg)
+        assert [p.name for p in single] == ["results.csv", "run_metadata.json", "chain.txt"]
+        assert single[-1].read_text() == "".join(line + "\n" for line in one.chain)
+        emit([one, other], tmp_path / "two", cfg)
+        assert not (tmp_path / "two" / "chain.txt").exists()
+
+    @pytest.mark.parametrize("text, us", [
+        ("1.500", 1500), ("-1.500", -1500), ("-0.001", -1), ("0.000", 0), ("12.034", 12034),
+        ("", None)])
+    def test_ms_strings_parse_exactly(self, text, us):
+        assert _ms_str_to_us(text) == us
+        assert _us_to_ms_str(us) == text
+
+    @pytest.mark.parametrize("text", ["1.5678", "1.5", "2", "1.", ".500", "+1.000", "1e3",
+                                      " 1.000", "--1.000", "1.-00"])
+    def test_ms_strings_that_are_not_exact_microseconds_are_refused(self, text):
+        with pytest.raises(ValueError):
+            _ms_str_to_us(text)
+
     def test_emit_without_results_is_an_error(self, tmp_path):
         with pytest.raises(ConfigError):
             emit([], tmp_path, resolve_config(None))
@@ -539,13 +572,18 @@ class TestCli:
         ("user_count", "abc", "'abc'"),
         ("user_count", "1.5", "'1.5'"),
         ("tx_rate", "1,x", "'x'"),
+        # refused by harness.sweep, after parsing and before any scenario runs
+        ("user_count", "4,4", "sweep values: 4 is given more than once"),
     ])
     def test_bad_sweep_values_exit_2(self, param, values, bad, cfg_file, tmp_path, capsys):
+        out = tmp_path / "x"
         code = cli_main(["sweep", "--config", str(cfg_file), "--param", param,
-                         "--values", values, "--reps", "1", "--out", str(tmp_path / "x")])
+                         "--values", values, "--reps", "1", "--out", str(out)])
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: --values") and bad in err and "Traceback" not in err
+        assert err.startswith("error: --values" if bad.startswith("'") else f"error: {bad}")
+        assert bad in err and "Traceback" not in err
+        assert not out.exists()
 
     _ROW = "v/cloudonly/rep0,cloudonly,user_count,4,0,overall,3,1.500,1.000,2.000,2.000,42,d"
 
@@ -555,6 +593,8 @@ class TestCli:
         ([CSV_HEADER, _ROW, _ROW.replace("1.500", "1.x")], "row 3, column 'mean_ms'"),
         ([CSV_HEADER, _ROW.rsplit(",", 2)[0]], "row 2, column 'seed'"),
         ([CSV_HEADER, _ROW.replace("cloudonly", "cloud\udcffonly")], "not CSV text"),
+        ([CSV_HEADER, _ROW, _ROW.replace("1.500", "1.5678")],
+         "row 3, column 'mean_ms': cannot read '1.5678'"),
     ])
     def test_malformed_results_csv_exits_2(self, lines, where, tmp_path, capsys):
         path = tmp_path / "results.csv"
