@@ -106,7 +106,7 @@ def _is_int(v) -> bool:
 # Times in microseconds, payloads in bits, lengths in instructions and
 # capacities stay at most 2^53, so the sums a run forms from them fit int64.
 _MAX_EXACT = 2**53
-# Set-up builds a list entry per spatial-hash cell, user and edge server.
+# Set-up builds a list entry per grid cell, user and edge server.
 _MAX_COUNT = 2**20
 
 

@@ -63,7 +63,7 @@ class ScenarioResult:
     stats maps 'overall' and each task-kind label to its KindStats; extras
     carries the reconciliation counters (conservation, skips, ledger state)
     that go into the run metadata file rather than the CSV. run_scenario sets
-    chain, the ledger export; other results do not hold one.
+    chain to the ledger export; on other results it stays None.
     """
 
     scenario_id: str
@@ -75,7 +75,7 @@ class ScenarioResult:
     config_digest: str
     stats: dict[str, KindStats]
     extras: dict = field(default_factory=dict)
-    chain: list[str] = field(default_factory=list)
+    chain: list[str] | None = None
 
 
 # The run resolves the queues once per window of simulated time.
@@ -318,7 +318,7 @@ class ScenarioRunner:
                               world_cfg["regions_x"], world_cfg["regions_y"],
                               world_cfg["cell"])
         self.world = World(self.grid, self.n_users, world_cfg["avatar_speed"],
-                           self.streams[STREAM_MOVEMENT])
+                           self.streams[STREAM_MOVEMENT], self.radius)
 
         topo, devices, fogs = infra.build_user_topology(
             self.world.regions_of_users(), self.grid.all_regions(), cfg["topology"])
@@ -386,8 +386,8 @@ class ScenarioRunner:
         """Lane firings lo..hi-1: firing r * n + u is user u's tick in round r.
 
         A round's positions are computed once, when its first tick comes due;
-        each tick then writes its avatar, keeps the spatial hash current and
-        submits the navigation and collision tasks.
+        each tick then writes its avatar's position, rebuckets it if its region
+        or a cell changed and submits the navigation and collision tasks.
         """
         world = self.world
         avatars = world.avatars
@@ -401,20 +401,18 @@ class ScenarioRunner:
             if r != self._round_index:
                 self._round = world.next_round(self.dt_s)
                 self._round_index = r
-            xs, ys, regions, cells = self._round
+            xs, ys, crossed = self._round
             base = r * self.tick_us
             end = min(n, u + hi - lo)
             for user in range(u, end):
                 avatar = avatars[user]
                 avatar.x = xs[user]
                 avatar.y = ys[user]
-                avatar.region = regions[user]
-                c = cells[user]
-                if c != cell_of[user]:
-                    world.rebucket(avatar, c)
+                if user in crossed:
+                    world.rebucket(avatar, *crossed[user])
                 now = base + offsets[user]
                 submit(0, user, now)
-                submit(1, user, now, 0, nbsum[c] - 1)
+                submit(1, user, now, 0, nbsum[cell_of[user]] - 1)
             lo += end - u
             r += 1
             u = 0

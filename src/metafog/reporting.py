@@ -188,8 +188,8 @@ def write_metadata(cfg: dict, results: list[ScenarioResult], path: str | Path) -
 
 def emit(results: list[ScenarioResult], out_dir: str | Path, cfg: dict,
          param: str | None = None) -> list[Path]:
-    """Write the output tree for a run or sweep, and chain.txt for exactly one
-    result; returns the files written."""
+    """Write the output tree for a run or sweep, and chain.txt for a single
+    result that carries a chain; returns the files written."""
     if not results:
         raise ConfigError("emit called with no results")
     out = Path(out_dir)
@@ -204,8 +204,8 @@ def emit(results: list[ScenarioResult], out_dir: str | Path, cfg: dict,
         meta_path = out / "run_metadata.json"
         write_metadata(cfg, results, meta_path)
         written.append(meta_path)
-        if len(results) == 1:
-            chain = results[0].chain
+        chain = results[0].chain
+        if len(results) == 1 and chain is not None:
             chain_path = out / "chain.txt"
             chain_path.write_text("\n".join(chain) + ("\n" if chain else ""))
             written.append(chain_path)

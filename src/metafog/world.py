@@ -1,12 +1,16 @@
 """The virtual universe: a bounded 2-D map, region grid, and moving avatars.
 
 Avatars follow a random-waypoint walk: head for the current waypoint at a
-fixed speed, and draw a fresh uniform waypoint on arrival. A spatial hash with
-cells at least as large as the proximity radius makes radius queries and
-collision-candidate counts a 3x3 cell scan: the linked-cell method (Allen &
-Tildesley, *Computer Simulation of Liquids*, 1987, section 5.3.2). Each cell
-holds its Avatar objects, and each cell's 3x3 block of member lists is built
-once, so a query walks avatars directly rather than looking up user ids.
+fixed speed, and draw a fresh uniform waypoint on arrival. Two square-cell
+grids over the map serve the neighbour queries, the linked-cell method
+(Allen & Tildesley, *Computer Simulation of Liquids*, 1987, section 5.3.2):
+
+- the count grid, of world.cell cells, keeps each avatar's cell and the
+  number of avatars in every cell's 3x3 block, which is an avatar's
+  collision-candidate count plus one;
+- the proximity grid, of cells at least as large as the proximity radius,
+  keeps the Avatar objects of each cell, so a radius query walks the
+  avatars of a 3x3 block directly.
 
 A simulation run moves every avatar once per round, and World.next_round is
 the only code that moves one: it computes a whole round in numpy, and the
@@ -23,6 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .config import _MAX_COUNT
 from .engine import RngStream
 from .errors import ConfigError, SimulationError
 
@@ -83,47 +88,96 @@ class Avatar:
     region: tuple[int, int]
 
 
+@dataclass(frozen=True)
+class CellGrid:
+    """Square cells of a side over the world, framed by a one-cell empty border.
+
+    Cell (cx, cy) has index (cx + 1) * (ny + 2) + cy + 1; positions on the
+    max edges of the world fall in the last cells. The 3x3 block around any
+    cell of the world is that cell's index plus each offset in block.
+    """
+
+    side: float
+    nx: int
+    ny: int
+
+    @classmethod
+    def over(cls, grid: WorldGrid, side: float) -> CellGrid:
+        return cls(side, max(1, math.ceil(grid.width / side)),
+                   max(1, math.ceil(grid.height / side)))
+
+    @property
+    def size(self) -> int:
+        return (self.nx + 2) * (self.ny + 2)
+
+    @cached_property
+    def block(self) -> tuple[int, ...]:
+        stride = self.ny + 2
+        return tuple(dx * stride + dy for dx in (-1, 0, 1) for dy in (-1, 0, 1))
+
+    def index(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        cx = np.minimum((x / self.side).astype(np.int64), self.nx - 1)
+        cy = np.minimum((y / self.side).astype(np.int64), self.ny - 1)
+        return (cx + 1) * (self.ny + 2) + cy + 1
+
+    def block_sums(self, cells: np.ndarray) -> list[int]:
+        """The number of the given cells that fall in each cell's 3x3 block."""
+        counts = np.zeros((self.nx + 4, self.ny + 4), dtype=np.int64)
+        counts[1:-1, 1:-1] = np.bincount(cells, minlength=self.size).reshape(
+            self.nx + 2, self.ny + 2)
+        sums = sum(counts[dx:dx + self.nx + 2, dy:dy + self.ny + 2]
+                   for dx in range(3) for dy in range(3))
+        return sums.ravel().tolist()
+
+
 class Round(NamedTuple):
-    """Each avatar's position, region and hash cell after a round of ticks, by user."""
+    """Each avatar's position after a round of ticks, by user, and its moves.
+
+    crossed maps each user whose region, count-grid cell or proximity-grid
+    cell differs from the round before (or from construction) to the three
+    of them after this round, the arguments of rebucket.
+    """
 
     x: list[float]
     y: list[float]
-    region: list[tuple[int, int]]
-    cell: list[int]
+    crossed: dict[int, tuple[tuple[int, int], int, int]]
 
 
 class World:
-    """All avatars plus the spatial hash that serves proximity queries.
+    """All avatars plus the two grids that serve neighbour queries.
 
-    The hash keeps the Avatar objects of each cell in one member list per
-    cell. For every cell it also holds, built once at construction, the tuple
-    of the member lists of the cell's 3x3 block; the lists are mutated in
-    place, so the tuples never go stale and a query scans avatars without
-    any cell arithmetic. The hash is kept incrementally: an avatar is
-    rebucketed only when a tick moves it across a cell border. Queries
-    therefore always see every avatar at its most recently ticked position.
+    The count grid (count_grid, cells of world.cell) holds each avatar's
+    cell and, for every cell, the number of avatars in its 3x3 block. The
+    proximity grid (near_grid) holds each avatar's cell and each cell's
+    member list of Avatar objects. Its side is at least radius, the largest
+    radius nearby_users accepts, and at least the side of the area per
+    avatar, sqrt(width * height / n_users): smaller cells would only add
+    empty cells to scan and to cross. Where a count cell holds fewer than
+    two avatars on average, the proximity grid takes the count grid's side
+    instead (if the radius allows it): a 3x3 block of count cells then holds
+    too few avatars for a finer scan to pay for a second set of borders to
+    cross. The side doubles while the grid has more than 2^20 cells, so no
+    radius asks for millions of lists.
+
+    Both grids are kept incrementally: an avatar is rebucketed only when a
+    tick moves it across a cell border of either. Queries therefore always
+    see every avatar at its most recently ticked position.
     """
 
-    def __init__(self, grid: WorldGrid, n_users: int, speed: float, rng: RngStream):
+    def __init__(self, grid: WorldGrid, n_users: int, speed: float, rng: RngStream,
+                 radius: float | None = None):
         self.grid = grid
         self.rng = rng
-        self.ncx = ncx = max(1, math.ceil(grid.width / grid.cell))
-        self.ncy = ncy = max(1, math.ceil(grid.height / grid.cell))
-        members: list[list[Avatar]] = [[] for _ in range(ncx * ncy)]
-        self._members = members
-        # _neighbors[c] lists the 3x3 block around cell c (clipped at borders),
-        # x-major; _blocks[c] holds the member lists of those cells in the same
-        # order. _nbsum[c] is kept equal to the number of avatars in the block,
-        # so a collision-candidate query is a single lookup.
-        ys = [range(max(0, cy - 1), min(ncy, cy + 2)) for cy in range(ncy)]
-        self._neighbors: list[tuple[int, ...]] = []
-        self._blocks: list[tuple[list[Avatar], ...]] = []
-        for cx in range(ncx):
-            gxs = range(max(0, cx - 1), min(ncx, cx + 2))
-            for gys in ys:
-                block = tuple([gx * ncy + gy for gx in gxs for gy in gys])
-                self._neighbors.append(block)
-                self._blocks.append(tuple([members[n] for n in block]))
+        self.radius = grid.cell if radius is None else radius
+        count = self.count_grid = CellGrid.over(grid, grid.cell)
+        if n_users < 2 * count.nx * count.ny:
+            side = grid.cell
+        else:
+            side = math.sqrt(grid.width) * math.sqrt(grid.height / max(1, n_users))
+        near = CellGrid.over(grid, max(self.radius, side))
+        while near.size > _MAX_COUNT:
+            near = CellGrid.over(grid, 2 * near.side)
+        self.near_grid = count if near == count else near
         draws = np.array([rng.random() for _ in range(4 * n_users)]).reshape(-1, 4)
         draws *= (grid.width, grid.height, grid.width, grid.height)
         # x, y, wx and wy of every avatar after the last round: positions and waypoints
@@ -131,36 +185,52 @@ class World:
         self.speed = speed  # world units per second
         self._regions = grid.all_regions()  # region index rx * regions_y + ry -> (rx, ry)
         x, y = self._state[:2]
-        regions, self._cell_of = self._place(x, y)
-        self.avatars = list(map(Avatar, range(n_users), x.tolist(), y.tolist(), regions))
-        for avatar, c in zip(self.avatars, self._cell_of):
-            members[c].append(avatar)
-        self._nbsum = [sum(map(len, block)) for block in self._blocks]
+        places = self._place(x, y)
+        self._places = places  # region index and both cells after the last round
+        regions, cells, nears = places
+        self.avatars = list(map(Avatar, range(n_users), x.tolist(), y.tolist(),
+                                map(self._regions.__getitem__, regions.tolist())))
+        self._cell_of = cells.tolist()
+        # _nbsum[c] is kept equal to the number of avatars in the 3x3 block
+        # of count-grid cell c, so a collision-candidate query is one lookup.
+        self._nbsum = self.count_grid.block_sums(cells)
+        self._near_of = nears.tolist()
+        self._members: list[list[Avatar]] = [[] for _ in range(near.size)]
+        for avatar, p in zip(self.avatars, self._near_of):
+            self._members[p].append(avatar)
 
-    def rebucket(self, avatar: Avatar, c: int) -> None:
-        """Move an avatar into cell c of the spatial hash, if it is not there already."""
+    def rebucket(self, avatar: Avatar, region: tuple[int, int], c: int, p: int) -> None:
+        """Move an avatar into a region, count-grid cell c and proximity-grid cell p.
+
+        Only the grid whose cell the avatar left changes.
+        """
+        avatar.region = region
         user = avatar.user
         old = self._cell_of[user]
-        if old == c:
-            return
-        self._members[old].remove(avatar)
-        self._members[c].append(avatar)
-        self._cell_of[user] = c
-        nbsum = self._nbsum
-        for n in self._neighbors[old]:
-            nbsum[n] -= 1
-        for n in self._neighbors[c]:
-            nbsum[n] += 1
+        if old != c:
+            self._cell_of[user] = c
+            nbsum = self._nbsum
+            for offset in self.count_grid.block:
+                nbsum[old + offset] -= 1
+                nbsum[c + offset] += 1
+        old = self._near_of[user]
+        if old != p:
+            self._near_of[user] = p
+            self._members[old].remove(avatar)
+            self._members[p].append(avatar)
 
-    def _place(self, x: np.ndarray, y: np.ndarray) -> tuple[list[tuple[int, int]], list[int]]:
-        """Region and hash cell of each position; the max edges clamp into the last ones."""
+    def _place(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Region index, count-grid cell and proximity-grid cell of each position.
+
+        The max edges clamp into the last regions and cells; region (rx, ry)
+        has index rx * regions_y + ry.
+        """
         grid = self.grid
         rx = np.minimum((x / grid.region_width).astype(np.int64), grid.regions_x - 1)
         ry = np.minimum((y / grid.region_height).astype(np.int64), grid.regions_y - 1)
-        cx = np.minimum((x / grid.cell).astype(np.int64), self.ncx - 1)
-        cy = np.minimum((y / grid.cell).astype(np.int64), self.ncy - 1)
-        return (list(map(self._regions.__getitem__, (rx * grid.regions_y + ry).tolist())),
-                (cx * self.ncy + cy).tolist())
+        cells = self.count_grid.index(x, y)
+        nears = cells if self.near_grid is self.count_grid else self.near_grid.index(x, y)
+        return rx * grid.regions_y + ry, cells, nears
 
     def next_round(self, dt_s: float) -> Round:
         """Every avatar's state after one more tick of dt_s, computed but not applied.
@@ -169,8 +239,10 @@ class World:
         it stops exactly on it and, unless the speed is 0, draws a fresh
         uniform waypoint (x then y) from the movement stream, in user order.
         A round starts where the round before it ended, the first one where
-        __init__ placed the avatars. The caller writes each avatar and calls
-        rebucket on a cell crossing when that avatar's tick comes due.
+        __init__ placed the avatars. When an avatar's tick comes due, the
+        caller writes its position and, if it is in crossed, calls rebucket
+        with its entry; once the round before is applied, crossed holds
+        exactly the avatars whose region or cells change.
         tests/test_world.py keeps a scalar one-avatar step that every round
         must equal, bit for bit and draw for draw.
         """
@@ -198,29 +270,38 @@ class World:
         if (nx < 0).any() or (ny < 0).any() or (nx > grid.width).any() or (ny > grid.height).any():
             raise SimulationError("a movement round left the world bounds")
         self._state = (nx, ny, wx, wy)
-        return Round(nx.tolist(), ny.tolist(), *self._place(nx, ny))
+        places = self._place(nx, ny)
+        moved = np.flatnonzero(np.logical_or.reduce(
+            [new != old for new, old in zip(places, self._places)]))
+        self._places = places
+        regions, cells, nears = (column[moved].tolist() for column in places)
+        crossed = dict(zip(moved.tolist(), zip(map(self._regions.__getitem__, regions),
+                                               cells, nears)))
+        return Round(nx.tolist(), ny.tolist(), crossed)
 
     def collision_candidates(self, user: int) -> int:
-        """Number of other avatars in the 3x3 cell neighborhood."""
+        """Number of other avatars in the 3x3 block of the user's count-grid cell."""
         return self._nbsum[self._cell_of[user]] - 1
 
     def nearby_users(self, user: int, radius: float) -> list[int]:
-        """Users within Euclidean distance radius, via a 3x3 cell scan.
+        """The users within Euclidean distance radius, via a 3x3 cell scan.
 
-        The querying user is excluded. Requires radius <= cell so that the
-        scan covers the whole disc. Users come in scan order: block cells
-        x-major, and each cell's members in the order they entered it.
+        Returns a list of users, each once, in no promised order; the
+        querying user is excluded. The radius may not exceed the one the
+        world was built for, so that the scan covers the whole disc.
         """
-        if radius > self.grid.cell:
+        if radius > self.radius:
             raise ConfigError(
-                f"proximity radius {radius} exceeds spatial-hash cell {self.grid.cell}"
+                f"proximity radius {radius} exceeds the world's proximity radius {self.radius}"
             )
         me = self.avatars[user]
         x, y = me.x, me.y
         r2 = radius * radius
+        members = self._members
+        p = self._near_of[user]
         found = []
-        for members in self._blocks[self._cell_of[user]]:
-            for a in members:
+        for offset in self.near_grid.block:
+            for a in members[p + offset]:
                 dx = a.x - x
                 dy = a.y - y
                 if dx * dx + dy * dy <= r2:

@@ -479,6 +479,26 @@ class TestEmission:
         emit([one, other], tmp_path / "two", cfg)
         assert not (tmp_path / "two" / "chain.txt").exists()
 
+    def test_a_collected_result_writes_no_chain_txt(self, tmp_path):
+        cfg = resolve_config(SMALL)
+        runner = ScenarioRunner(cfg, Policy.FOG_EDGE, 3)
+        runner.run()
+        assert runner.chain.blocks
+        result = runner.collect("collected", "none", 8, 0)
+        assert result.chain is None
+        written = emit([result], tmp_path, cfg)
+        assert [p.name for p in written] == ["results.csv", "run_metadata.json"]
+        assert not (tmp_path / "chain.txt").exists()
+
+    def test_a_run_without_transactions_writes_an_empty_chain_txt(self, tmp_path):
+        cfg = resolve_config({**SMALL, "workload": {"user_count": 8,
+                                                    "tx_rate_per_user_per_s": 0}})
+        result = run_scenario(cfg, "fogedge", 3)
+        assert result.chain == []
+        written = emit([result], tmp_path, cfg)
+        assert written[-1] == tmp_path / "chain.txt"
+        assert written[-1].read_bytes() == b""
+
     @pytest.mark.parametrize("text, us", [
         ("1.500", 1500), ("-1.500", -1500), ("-0.001", -1), ("0.000", 0), ("12.034", 12034),
         ("", None)])

@@ -14,7 +14,7 @@ from metafog.engine import US_PER_S, RngStream, ms_to_us
 from metafog.errors import ConfigError, SimulationError
 from metafog.harness import ScenarioRunner
 from metafog.workload import Policy
-from metafog.world import World, WorldGrid, region_of
+from metafog.world import CellGrid, World, WorldGrid, region_of
 
 GRID = WorldGrid(1000.0, 1000.0, 10, 10, 40.0)
 
@@ -65,19 +65,21 @@ def walkers_of(world):
 
 
 def oracle_tick(world, walkers, user, dt_s):
-    """Tick one avatar of world by the oracle, keeping the spatial hash current."""
+    """Tick one avatar of world by the oracle, keeping both grids current."""
     w = movement_tick(walkers[user], world.speed, dt_s, world.rng, world.grid)
     avatar = world.avatars[user]
-    avatar.x, avatar.y, avatar.region = w.x, w.y, w.region
-    cx, cy = brute_force_cell(world, avatar)
-    world.rebucket(avatar, cx * world.ncy + cy)
+    avatar.x, avatar.y = w.x, w.y
+    world.rebucket(avatar, w.region, brute_force_index(world.count_grid, avatar),
+                   brute_force_index(world.near_grid, avatar))
 
 
 def apply_round(world, dt_s):
-    """Move every avatar by one round, written and rebucketed in user order."""
-    for avatar, x, y, region, c in zip(world.avatars, *world.next_round(dt_s)):
-        avatar.x, avatar.y, avatar.region = x, y, region
-        world.rebucket(avatar, c)
+    """Move every avatar by one round, written in user order and rebucketed on a crossing."""
+    xs, ys, crossed = world.next_round(dt_s)
+    for avatar, x, y in zip(world.avatars, xs, ys):
+        avatar.x, avatar.y = x, y
+        if avatar.user in crossed:
+            world.rebucket(avatar, *crossed[avatar.user])
 
 
 class TestRegionOf:
@@ -148,19 +150,28 @@ def brute_force_nearby(world, user, radius):
     return out
 
 
-def brute_force_cell(world, avatar):
-    cell = world.grid.cell
-    cx, cy = int(avatar.x / cell), int(avatar.y / cell)
-    return min(cx, world.ncx - 1), min(cy, world.ncy - 1)
+def brute_force_cell(cells, avatar):
+    """(cx, cy) of an avatar on a CellGrid; the max edges clamp into the last cells."""
+    cx, cy = int(avatar.x / cells.side), int(avatar.y / cells.side)
+    return min(cx, cells.nx - 1), min(cy, cells.ny - 1)
+
+
+def cell_index(cells, cx, cy):
+    """Index of cell (cx, cy) in a CellGrid framed by its one-cell border."""
+    return (cx + 1) * (cells.ny + 2) + cy + 1
+
+
+def brute_force_index(cells, avatar):
+    return cell_index(cells, *brute_force_cell(cells, avatar))
 
 
 def brute_force_candidates(world, user):
-    mx, my = brute_force_cell(world, world.avatars[user])
+    mx, my = brute_force_cell(world.count_grid, world.avatars[user])
     count = 0
     for other in world.avatars:
         if other.user == user:
             continue
-        ox, oy = brute_force_cell(world, other)
+        ox, oy = brute_force_cell(world.count_grid, other)
         if abs(ox - mx) <= 1 and abs(oy - my) <= 1:
             count += 1
     return count
@@ -185,6 +196,34 @@ class TestProximityQueries:
         with pytest.raises(ConfigError):
             world.nearby_users(0, GRID.cell + 1)
 
+    def test_radius_above_the_worlds_own_rejected(self):
+        world = World(GRID, 3, 1.0, RngStream(2, "movement"), 10.0)
+        assert world.near_grid.side >= 10.0
+        world.nearby_users(0, 10.0)
+        with pytest.raises(ConfigError, match="10.5"):
+            world.nearby_users(0, 10.5)
+
+    def test_proximity_cells_follow_the_radius_and_the_area_per_avatar(self):
+        # 1000 avatars on 625 count cells: too sparse for a finer grid
+        world = World(GRID, 1000, 1.0, RngStream(2, "movement"), 30.0)
+        assert world.near_grid is world.count_grid
+        assert world.count_grid == CellGrid(40.0, 25, 25)
+        # 5000 avatars: cells of the radius, or of the area per avatar above it
+        world = World(GRID, 5000, 1.0, RngStream(2, "movement"), 30.0)
+        assert world.near_grid == CellGrid(30.0, 34, 34)
+        world = World(GRID, 5000, 1.0, RngStream(2, "movement"), 10.0)
+        assert world.near_grid.side == pytest.approx(math.sqrt(200.0))
+        # a radius above the cell is served, by cells of the radius
+        world = World(GRID, 10, 1.0, RngStream(2, "movement"), 50.0)
+        assert world.near_grid == CellGrid(50.0, 20, 20)
+
+    def test_a_tiny_radius_keeps_the_proximity_grid_bounded(self):
+        long_strip = WorldGrid(2.0**20, 1.0, 1, 1, 1.0)
+        world = World(long_strip, 2**20, 0.0, RngStream(2, "movement"), 1e-6)
+        assert world.near_grid.size <= 2**20
+        assert world.near_grid.side >= 1e-6
+        assert len(world._members) == world.near_grid.size
+
     def test_nearby_matches_brute_force_on_random_layouts(self):
         for seed in range(30):
             world = World(GRID, 50, 1.5, RngStream(seed, "movement"))
@@ -206,19 +245,22 @@ class TestProximityQueries:
 
 
 class TestHashUnderMovement:
-    """The spatial hash against brute force after random ticks and crossings."""
+    """Both grids against brute force after random ticks and crossings."""
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data(), cell=st.floats(1.0, 50.0), width=st.floats(1.0, 200.0),
            height=st.floats(1.0, 200.0), n=st.integers(2, 60),
            cells_per_s=st.sampled_from([0.0, 0.05, 0.5, 1.0, 3.5]),
-           radius_share=st.floats(0.0, 1.0, exclude_min=True), seed=st.integers(0, 1_000))
+           radius_share=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           seed=st.integers(0, 1_000))
     def test_queries_match_brute_force_after_random_ticks(self, data, cell, width, height, n,
                                                           cells_per_s, radius_share, seed):
         grid = WorldGrid(width, height, 1, 1, cell)
-        world = World(grid, n, cells_per_s * cell, RngStream(seed, "movement"))
-        walkers = walkers_of(world)
+        # a proximity radius below cell: where avatars are dense enough, the
+        # proximity grid is finer than the count grid
         radius = radius_share * cell
+        world = World(grid, n, cells_per_s * cell, RngStream(seed, "movement"), radius)
+        walkers = walkers_of(world)
         # Colocate avatars: k takes j's position and waypoint, so the same
         # first tick moves both to the same point (and keeps them there at
         # speed 0). The first round ticks every avatar, which rebuckets k.
@@ -234,22 +276,12 @@ class TestHashUnderMovement:
             for user in users:
                 oracle_tick(world, walkers, user, dt_s)
             self._check(world, radius)
-        # the block tuples alias the live member lists, never copies of them
-        for c, block in enumerate(world._neighbors):
-            assert all(members is world._members[nb]
-                       for members, nb in zip(world._blocks[c], block, strict=True))
+            self._check(world, radius * data.draw(st.floats(0.0, 1.0), label="query share"))
 
     @staticmethod
     def _check(world, radius):
-        home = {}
-        for c, members in enumerate(world._members):
-            for avatar in members:
-                assert id(avatar) not in home, "avatar in two member lists"
-                home[id(avatar)] = c
-        assert len(home) == len(world.avatars)
+        check_grids(world)
         for user, avatar in enumerate(world.avatars):
-            cx, cy = brute_force_cell(world, avatar)
-            assert home[id(avatar)] == world._cell_of[user] == cx * world.ncy + cy
             got = world.nearby_users(user, radius)
             assert len(got) == len(set(got))
             assert user not in got
@@ -258,7 +290,57 @@ class TestHashUnderMovement:
                 if other.user != user
                 and (other.x - avatar.x) ** 2 + (other.y - avatar.y) ** 2 <= radius ** 2
             }
-            assert world.collision_candidates(user) == brute_force_candidates(world, user)
+
+
+def check_grids(world):
+    """Both grids of world against brute force from the avatars' positions."""
+    count, near = world.count_grid, world.near_grid
+    assert near.side >= world.radius
+    home = {}
+    for p, members in enumerate(world._members):
+        for avatar in members:
+            assert id(avatar) not in home, "avatar in two member lists"
+            home[id(avatar)] = p
+    assert len(home) == len(world.avatars)
+    cells = []
+    for user, avatar in enumerate(world.avatars):
+        assert home[id(avatar)] == world._near_of[user] == brute_force_index(near, avatar)
+        cells.append(brute_force_cell(count, avatar))
+        assert world._cell_of[user] == cell_index(count, *cells[-1])
+        assert world.collision_candidates(user) == brute_force_candidates(world, user)
+    # every cell's block count, the empty border's included
+    for cx in range(-1, count.nx + 1):
+        for cy in range(-1, count.ny + 1):
+            assert world._nbsum[cell_index(count, cx, cy)] == sum(
+                abs(ox - cx) <= 1 and abs(oy - cy) <= 1 for ox, oy in cells)
+
+
+class TestRunnerGrids:
+    """Both grids at the end of a whole run, against brute force."""
+
+    def test_a_crowd_run_leaves_both_grids_exact(self):
+        cfg = resolve_config({
+            "world": {"width": 300.0, "height": 300.0, "regions_x": 5, "regions_y": 5},
+            "workload": {"user_count": 600, "message_rate_per_user_per_s": 1.0},
+            "experiment": {"horizon_ms": 3_500.0, "warmup_ms": 0.0},
+        })
+        runner = ScenarioRunner(cfg, Policy.FOG_EDGE, 42)
+        runner.run()
+        world = runner.world
+        assert world.near_grid.side == 30.0 < world.count_grid.side
+        assert runner.messages_sent > 0
+        check_grids(world)
+        for user in range(600):
+            assert set(world.nearby_users(user, 30.0)) == brute_force_nearby(world, user, 30.0)
+
+    def test_a_tiny_radius_runs_on_a_bounded_proximity_grid(self):
+        cfg = resolve_config({"world": {"proximity_radius": 1e-6},
+                              "experiment": {"horizon_ms": 5_000.0, "warmup_ms": 0.0}})
+        runner = ScenarioRunner(cfg, Policy.FOG_EDGE, 1)
+        assert runner.world.near_grid.size <= 2**20
+        runner.run()
+        assert runner.messages_sent == 0 < runner.messages_skipped
+        check_grids(runner.world)
 
 
 class TestContainmentInvariant:
@@ -279,8 +361,8 @@ def test_construction_draws_each_position_then_waypoint():
         x, y, wx, wy = (rng.random() * 1000 for _ in range(4))
         assert (avatar.x, avatar.y, avatar.region) == (x, y, region_of((x, y), GRID))
         assert [s[user] for s in world._state] == [x, y, wx, wy]
-        cx, cy = brute_force_cell(world, avatar)
-        assert world._cell_of[user] == cx * world.ncy + cy
+        assert world._cell_of[user] == brute_force_index(world.count_grid, avatar)
+        assert world._near_of[user] == brute_force_index(world.near_grid, avatar)
 
 
 class TestMovementRounds:
@@ -289,17 +371,19 @@ class TestMovementRounds:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), n=st.integers(1, 40), width=st.floats(1.0, 300.0),
            height=st.floats(1.0, 300.0), regions=st.tuples(st.integers(1, 4), st.integers(1, 4)),
-           cell_share=st.floats(0.05, 1.0), tick_ms=st.sampled_from([0.001, 0.25, 1000.0, 7.5]),
+           cell_share=st.floats(0.05, 1.0), radius_share=st.floats(0.01, 1.0),
+           tick_ms=st.sampled_from([0.001, 0.25, 1000.0, 7.5]),
            share=st.sampled_from([0.0, 0.01, 0.3, 1.5]), seed=st.integers(0, 1_000))
     def test_rounds_equal_repeated_tick_avatar(self, data, n, width, height, regions,
-                                               cell_share, tick_ms, share, seed):
+                                               cell_share, radius_share, tick_ms, share, seed):
         cell = cell_share * min(width, height)
         # The speed as a share of the width per tick: 0 stays put, above 1
         # arrives on every tick and draws a fresh waypoint.
         dt_s = ms_to_us(tick_ms) / US_PER_S
         cfg = resolve_config({
             "world": {"width": width, "height": height, "regions_x": regions[0],
-                      "regions_y": regions[1], "cell": cell, "proximity_radius": cell,
+                      "regions_y": regions[1], "cell": cell,
+                      "proximity_radius": radius_share * cell,
                       "movement_tick_ms": tick_ms, "avatar_speed": share * width / dt_s},
             "workload": {"user_count": n, "message_rate_per_user_per_s": 0.0,
                          "tx_rate_per_user_per_s": 0.0},
@@ -307,7 +391,7 @@ class TestMovementRounds:
         })
         runner = ScenarioRunner(cfg, Policy.FOG_EDGE, seed)
         world = runner.world
-        mirror = World(runner.grid, n, world.speed, RngStream(seed, "movement"))
+        mirror = World(runner.grid, n, world.speed, RngStream(seed, "movement"), world.radius)
         walkers = walkers_of(mirror)
         assert runner.dt_s == dt_s
         pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
@@ -346,7 +430,7 @@ class TestMovementRounds:
     def _state(world):
         return ([(a.x, a.y, a.region) for a in world.avatars],
                 [[a.user for a in members] for members in world._members],
-                world._cell_of, world._nbsum)
+                world._near_of, world._cell_of, world._nbsum)
 
     def test_round_caps_an_exact_arrival_and_redraws(self):
         # a 3-4-5 step of exactly the distance lands on the waypoint
@@ -356,13 +440,55 @@ class TestMovementRounds:
         for _ in range(4):  # replay the construction draws
             rng.random()
         walker = movement_tick(Walker(0.0, 0.0, 3.0, 4.0, (0, 0)), 5.0, 1.0, rng, GRID)
-        assert world.next_round(1.0) == ([3.0], [4.0], [(0, 0)], [0])
+        assert self._placed(world, world.next_round(1.0)) == (
+            [3.0], [4.0], (0, 0), cell_index(world.count_grid, 0, 0),
+            cell_index(world.near_grid, 0, 0))
         assert [s.tolist() for s in world._state] == [[3.0], [4.0], [walker.wx], [walker.wy]]
 
     def test_round_clamps_the_max_corner_into_the_last_region_and_cell(self):
         world = World(GRID, 1, 0.0, RngStream(1, "movement"))
         world._state = tuple(np.array([v]) for v in (1000.0, 1000.0, 0.0, 0.0))
-        assert world.next_round(1.0) == ([1000.0], [1000.0], [(9, 9)], [25 * 25 - 1])
+        near = world.near_grid
+        assert self._placed(world, world.next_round(1.0)) == (
+            [1000.0], [1000.0], (9, 9), cell_index(world.count_grid, 24, 24),
+            cell_index(near, near.nx - 1, near.ny - 1))
+
+    @staticmethod
+    def _placed(world, round_):
+        """A one-avatar round: positions, then region and cells after it, crossed or not."""
+        region, c, p = round_.crossed.get(
+            0, (world.avatars[0].region, world._cell_of[0], world._near_of[0]))
+        return round_.x, round_.y, region, c, p
+
+    def test_crossed_holds_a_change_of_region_or_either_cell_and_rebucket_moves_only_that(self):
+        # 36 avatars on 60 x 60: 10-unit proximity cells inside 40-unit count cells,
+        # 15-unit regions along x
+        world = World(WorldGrid(60.0, 60.0, 4, 1, 40.0), 36, 0.0, RngStream(1, "movement"), 10.0)
+        assert world.near_grid.side == 10.0
+
+        def place(*firsts):  # the first avatars where given, the rest at (55, 55)
+            xy = list(firsts) + [(55.0, 55.0)] * (36 - len(firsts))
+            world._state = tuple(np.array(v) for v in zip(*[(x, y, x, y) for x, y in xy]))
+
+        place((5.0, 5.0), (5.0, 5.0), (5.0, 5.0), (12.0, 5.0))
+        apply_round(world, 1.0)
+        # stay put; cross a proximity and a region border; cross every border;
+        # cross a region border only
+        place((5.0, 5.0), (15.0, 5.0), (45.0, 5.0), (16.0, 5.0))
+        nbsum = list(world._nbsum)
+        xs, ys, crossed = world.next_round(1.0)
+        count, near = world.count_grid, world.near_grid
+        assert crossed == {1: ((1, 0), cell_index(count, 0, 0), cell_index(near, 1, 0)),
+                           2: ((3, 0), cell_index(count, 1, 0), cell_index(near, 4, 0)),
+                           3: ((1, 0), cell_index(count, 0, 0), cell_index(near, 1, 0))}
+        for avatar, x, y in zip(world.avatars, xs, ys):
+            avatar.x, avatar.y = x, y
+            if avatar.user in crossed:
+                world.rebucket(avatar, *crossed[avatar.user])
+            if avatar.user == 1:
+                assert world._nbsum == nbsum  # the count grid did not change
+        assert [a.region for a in world.avatars[:4]] == [(0, 0), (1, 0), (3, 0), (1, 0)]
+        check_grids(world)
 
     def test_round_refuses_non_positive_dt(self):
         with pytest.raises(SimulationError):
