@@ -149,15 +149,15 @@ class World:
     The count grid (count_grid, cells of world.cell) holds each avatar's
     cell and, for every cell, the number of avatars in its 3x3 block. The
     proximity grid (near_grid) holds each avatar's cell and each cell's
-    member list of Avatar objects. Its side is at least radius, the largest
-    radius nearby_users accepts, and at least the side of the area per
-    avatar, sqrt(width * height / n_users): smaller cells would only add
-    empty cells to scan and to cross. Where a count cell holds fewer than
-    two avatars on average, the proximity grid takes the count grid's side
-    instead (if the radius allows it): a 3x3 block of count cells then holds
-    too few avatars for a finer scan to pay for a second set of borders to
-    cross. The side doubles while the grid has more than 2^20 cells, so no
-    radius asks for millions of lists.
+    member list of Avatar objects. Its cells are at least radius wide, the
+    largest radius nearby_users accepts, so a 3x3 scan covers the whole
+    disc. Where a count cell holds fewer than two avatars on average and the
+    radius is at most world.cell, the proximity grid is the count grid
+    itself: a 3x3 block of count cells then holds too few avatars for a
+    finer scan to pay for a second set of borders to cross. Otherwise the
+    side is the radius, raised to 1/2^20 of each edge of the world if that
+    is larger, and doubled while the grid has more than 2^20 cells inside
+    its border, so no radius asks for millions of lists.
 
     Both grids are kept incrementally: an avatar is rebucketed only when a
     tick moves it across a cell border of either. Queries therefore always
@@ -165,18 +165,20 @@ class World:
     """
 
     def __init__(self, grid: WorldGrid, n_users: int, speed: float, rng: RngStream,
-                 radius: float | None = None):
+                 radius: float):
         self.grid = grid
         self.rng = rng
-        self.radius = grid.cell if radius is None else radius
+        self.radius = radius
         count = self.count_grid = CellGrid.over(grid, grid.cell)
-        if n_users < 2 * count.nx * count.ny:
-            side = grid.cell
+        if n_users < 2 * count.nx * count.ny and radius <= grid.cell:
+            near = count
         else:
-            side = math.sqrt(grid.width) * math.sqrt(grid.height / max(1, n_users))
-        near = CellGrid.over(grid, max(self.radius, side))
-        while near.size > _MAX_COUNT:
-            near = CellGrid.over(grid, 2 * near.side)
+            # no axis of more than 2^20 cells, so even a subnormal radius
+            # gives finite cell counts
+            near = CellGrid.over(grid, max(radius, grid.width / _MAX_COUNT,
+                                           grid.height / _MAX_COUNT))
+            while near.nx * near.ny > _MAX_COUNT:
+                near = CellGrid.over(grid, 2 * near.side)
         self.near_grid = count if near == count else near
         draws = np.array([rng.random() for _ in range(4 * n_users)]).reshape(-1, 4)
         draws *= (grid.width, grid.height, grid.width, grid.height)

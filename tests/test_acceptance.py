@@ -217,7 +217,7 @@ def test_criterion_6_neighbor_search_oracle():
     for trial in range(1_000):
         n = rng.randrange(2, 40)
         radius = rng.uniform(0.5, grid.cell)
-        world = World(grid, n, 1.5, RngStream(trial, "movement"))
+        world = World(grid, n, 1.5, RngStream(trial, "movement"), grid.cell)
         for user in range(n):
             got = set(world.nearby_users(user, radius))
             me = world.avatars[user]

@@ -180,19 +180,19 @@ def brute_force_candidates(world, user):
 class TestProximityQueries:
     def test_colocated_avatars_see_each_other(self):
         tiny = WorldGrid(10.0, 10.0, 1, 1, 10.0)  # a single hash cell
-        world = World(tiny, 2, 0.0, RngStream(1, "movement"))
+        world = World(tiny, 2, 0.0, RngStream(1, "movement"), tiny.cell)
         for a in world.avatars:
             a.x = a.y = 5.0
         assert world.nearby_users(0, 1.0) == [1]
         assert world.nearby_users(1, 1.0) == [0]
 
     def test_lone_avatar_has_no_neighbors(self):
-        world = World(GRID, 1, 1.0, RngStream(2, "movement"))
+        world = World(GRID, 1, 1.0, RngStream(2, "movement"), GRID.cell)
         assert world.nearby_users(0, 30.0) == []
         assert world.collision_candidates(0) == 0
 
     def test_radius_above_cell_rejected(self):
-        world = World(GRID, 3, 1.0, RngStream(2, "movement"))
+        world = World(GRID, 3, 1.0, RngStream(2, "movement"), GRID.cell)
         with pytest.raises(ConfigError):
             world.nearby_users(0, GRID.cell + 1)
 
@@ -203,36 +203,43 @@ class TestProximityQueries:
         with pytest.raises(ConfigError, match="10.5"):
             world.nearby_users(0, 10.5)
 
-    def test_proximity_cells_follow_the_radius_and_the_area_per_avatar(self):
+    def test_proximity_cells_follow_the_radius(self):
         # 1000 avatars on 625 count cells: too sparse for a finer grid
         world = World(GRID, 1000, 1.0, RngStream(2, "movement"), 30.0)
         assert world.near_grid is world.count_grid
         assert world.count_grid == CellGrid(40.0, 25, 25)
-        # 5000 avatars: cells of the radius, or of the area per avatar above it
+        # 5000 avatars: cells of the radius
         world = World(GRID, 5000, 1.0, RngStream(2, "movement"), 30.0)
         assert world.near_grid == CellGrid(30.0, 34, 34)
         world = World(GRID, 5000, 1.0, RngStream(2, "movement"), 10.0)
-        assert world.near_grid.side == pytest.approx(math.sqrt(200.0))
+        assert world.near_grid == CellGrid(10.0, 100, 100)
         # a radius above the cell is served, by cells of the radius
         world = World(GRID, 10, 1.0, RngStream(2, "movement"), 50.0)
         assert world.near_grid == CellGrid(50.0, 20, 20)
 
     def test_a_tiny_radius_keeps_the_proximity_grid_bounded(self):
+        # dense: 2000 avatars on 625 count cells; the side starts at
+        # 1000 / 2^20 and doubles to the first with at most 2^20 cells
+        for radius in (1e-6, 5e-324):
+            world = World(GRID, 2000, 0.0, RngStream(2, "movement"), radius)
+            near = world.near_grid
+            assert near == CellGrid(1000.0 / 2**10, 1024, 1024)
+            assert len(world._members) == near.size
+        # sparse: a strip of 2^20 count cells shares its grid, whose border
+        # takes it above 2^20 cells, rather than building a second one
         long_strip = WorldGrid(2.0**20, 1.0, 1, 1, 1.0)
-        world = World(long_strip, 2**20, 0.0, RngStream(2, "movement"), 1e-6)
-        assert world.near_grid.size <= 2**20
-        assert world.near_grid.side >= 1e-6
-        assert len(world._members) == world.near_grid.size
+        world = World(long_strip, 1000, 0.0, RngStream(2, "movement"), 1e-6)
+        assert world.near_grid is world.count_grid
 
     def test_nearby_matches_brute_force_on_random_layouts(self):
         for seed in range(30):
-            world = World(GRID, 50, 1.5, RngStream(seed, "movement"))
+            world = World(GRID, 50, 1.5, RngStream(seed, "movement"), GRID.cell)
             for user in range(50):
                 got = set(world.nearby_users(user, 30.0))
                 assert got == brute_force_nearby(world, user, 30.0)
 
     def test_candidates_match_brute_force_after_movement(self):
-        world = World(GRID, 40, 2.0, RngStream(11, "movement"))
+        world = World(GRID, 40, 2.0, RngStream(11, "movement"), GRID.cell)
         for step in range(20):
             apply_round(world, 5.0)
             for user in range(40):
@@ -240,7 +247,8 @@ class TestProximityQueries:
 
     def test_colocated_clique_reports_k_minus_one(self):
         # k avatars dropped on the same spot: candidates == k - 1 for each
-        world = World(WorldGrid(100.0, 100.0, 1, 1, 100.0), 5, 0.0, RngStream(4, "movement"))
+        one_cell = WorldGrid(100.0, 100.0, 1, 1, 100.0)
+        world = World(one_cell, 5, 0.0, RngStream(4, "movement"), one_cell.cell)
         assert all(world.collision_candidates(u) == 4 for u in range(5))
 
 
@@ -337,7 +345,8 @@ class TestRunnerGrids:
         cfg = resolve_config({"world": {"proximity_radius": 1e-6},
                               "experiment": {"horizon_ms": 5_000.0, "warmup_ms": 0.0}})
         runner = ScenarioRunner(cfg, Policy.FOG_EDGE, 1)
-        assert runner.world.near_grid.size <= 2**20
+        near = runner.world.near_grid
+        assert near.nx * near.ny <= 2**20
         runner.run()
         assert runner.messages_sent == 0 < runner.messages_skipped
         check_grids(runner.world)
@@ -345,7 +354,7 @@ class TestRunnerGrids:
 
 class TestContainmentInvariant:
     def test_avatars_stay_in_bounds_with_consistent_regions(self):
-        world = World(GRID, 30, 3.0, RngStream(9, "movement"))
+        world = World(GRID, 30, 3.0, RngStream(9, "movement"), GRID.cell)
         for _ in range(200):
             apply_round(world, 2.0)
             for avatar in world.avatars:
@@ -355,7 +364,7 @@ class TestContainmentInvariant:
 
 
 def test_construction_draws_each_position_then_waypoint():
-    world = World(GRID, 5, 2.5, RngStream(21, "movement"))
+    world = World(GRID, 5, 2.5, RngStream(21, "movement"), GRID.cell)
     rng = RngStream(21, "movement")
     for user, avatar in enumerate(world.avatars):
         x, y, wx, wy = (rng.random() * 1000 for _ in range(4))
@@ -434,7 +443,7 @@ class TestMovementRounds:
 
     def test_round_caps_an_exact_arrival_and_redraws(self):
         # a 3-4-5 step of exactly the distance lands on the waypoint
-        world = World(GRID, 1, 5.0, RngStream(1, "movement"))
+        world = World(GRID, 1, 5.0, RngStream(1, "movement"), GRID.cell)
         world._state = tuple(np.array([v]) for v in (0.0, 0.0, 3.0, 4.0))
         rng = RngStream(1, "movement")
         for _ in range(4):  # replay the construction draws
@@ -446,7 +455,7 @@ class TestMovementRounds:
         assert [s.tolist() for s in world._state] == [[3.0], [4.0], [walker.wx], [walker.wy]]
 
     def test_round_clamps_the_max_corner_into_the_last_region_and_cell(self):
-        world = World(GRID, 1, 0.0, RngStream(1, "movement"))
+        world = World(GRID, 1, 0.0, RngStream(1, "movement"), GRID.cell)
         world._state = tuple(np.array([v]) for v in (1000.0, 1000.0, 0.0, 0.0))
         near = world.near_grid
         assert self._placed(world, world.next_round(1.0)) == (
@@ -492,4 +501,4 @@ class TestMovementRounds:
 
     def test_round_refuses_non_positive_dt(self):
         with pytest.raises(SimulationError):
-            World(GRID, 3, 1.0, RngStream(1, "movement")).next_round(0.0)
+            World(GRID, 3, 1.0, RngStream(1, "movement"), GRID.cell).next_round(0.0)
