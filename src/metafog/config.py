@@ -219,12 +219,6 @@ def resolve_config(overrides: dict | None = None) -> dict:
     _check_leaves(cfg, _CHECKS, "")
 
     world = cfg["world"]
-    if world["proximity_radius"] > world["cell"]:
-        raise ConfigError(
-            "config key 'world.proximity_radius' "
-            f"= {world['proximity_radius']!r}: must be <= world.cell "
-            f"({world['cell']!r}) so neighbor search stays a 3x3 cell scan"
-        )
     sides = [world[side] / world["cell"] for side in ("width", "height")]
     if max(sides) > _MAX_COUNT or \
             math.prod(max(1, math.ceil(n)) for n in sides) > _MAX_COUNT:

@@ -18,6 +18,7 @@ so serial and parallel execution produce identical output.
 from __future__ import annotations
 
 import json
+import struct
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
@@ -88,24 +89,27 @@ WINDOW_US = US_PER_S
 _KIND, _OWNER, _CREATED, _REGION, _CANDIDATES = range(5)
 _SUBMITTED = 5
 # Columns of a placed task: the submitted fields up to CREATED, the task id,
-# the server and times of its placement, then the completion and finish times
-# that the resolve pass adds.
+# the server and times of its placement, then the completion and finish times,
+# which stay unset until the task is served.
 _TID, _SERVER, _UP, _SERVICE, _DOWN, _DONE, _FINISH = range(3, 10)
-_PLACED = _DONE
+_PLACED = _FINISH + 1
 
 
 class TaskPipeline:
     """Places tasks under one policy, queues them FIFO and records their latency.
 
     submit() appends a task's policy-free fields to a plain list; its id is
-    implied by submission order and is not buffered. resolve(cutoff) converts
-    the list once, numbers its rows and places the tasks, here and
-    in each of peers: the pipelines that see the same submissions under other
-    placements. Each then serves every placed task that reaches its server by
-    the cutoff and emits, in (finish, completion, arrival, task id) order,
-    every task whose downlink lands by it; that is the order in which a
-    per-task event loop would finish them. Served tasks wait for emission in
-    buckets keyed by finish window, so a long backlog is never rescanned.
+    implied by submission order and is not buffered. resolve(cutoff) packs
+    the list with struct into one int64 buffer, views it as rows, numbers
+    them and places the tasks, here and in each of peers: the pipelines that
+    see the same submissions under other placements. Each then serves every
+    placed task that reaches its server by the cutoff, FIFO by a stable
+    (server, arrival) sort: the rows still in their uplink precede the new
+    ones and both are in task-id order, so ties go by task id. It emits, in
+    (finish, completion, arrival, task id) order, every task whose downlink
+    lands by the cutoff; that is the order in which a per-task event loop
+    would finish them. Served tasks wait for emission in buckets keyed by
+    finish window, so a long backlog is never rescanned.
     The transactions handed to on_validated are those of the emitted
     transaction-validation tasks.
     """
@@ -152,8 +156,9 @@ class TaskPipeline:
         submitted. A server's future depends on its past only through
         busy_until, so calls with increasing cutoffs compose exactly.
         """
-        submitted = np.array(self._buffer, dtype=np.int64).reshape(-1, _SUBMITTED)
-        self._buffer = []
+        buffer, self._buffer = self._buffer, []
+        submitted = np.frombuffer(struct.pack(f"{len(buffer)}q", *buffer),
+                                  dtype=np.int64).reshape(-1, _SUBMITTED)
         txs, self._new_txs = self._new_txs, {}
         for pipeline in (self, *self.peers):
             pipeline._take(submitted, txs)
@@ -181,16 +186,19 @@ class TaskPipeline:
 
     def _serve(self, cutoff_us: int) -> None:
         # Work on index arrays and columns: each copy of whole rows adds to peak memory.
+        # Whole rows move by compress and take, which copy them faster than masks and
+        # fancy indexing do.
         rows = self._held
         arrival = rows[:, _CREATED] + rows[:, _UP]
         ready = arrival <= cutoff_us
-        self._held = rows[~ready]
+        self._held = rows.compress(~ready, axis=0)
         take = np.flatnonzero(ready)
         if not take.size:
             return
         arrival = arrival[take]
         server = rows[take, _SERVER]
-        order = np.lexsort((rows[take, _TID], arrival, server))
+        # Rows are in task-id order, so the stable sort breaks (server, arrival) ties by id.
+        order = np.lexsort((arrival, server))
         take, arrival, server = take[order], arrival[order], server[order]
         try:
             done = infra.fifo_completions(server, arrival, rows[take, _SERVICE], self.busy_until)
@@ -201,22 +209,21 @@ class TaskPipeline:
         finish = done + rows[take, _DOWN]
         key = finish // WINDOW_US
         order = np.argsort(key, kind="stable")
-        served = np.empty((take.size, _FINISH + 1), dtype=np.int64)
-        served[:, :_PLACED] = rows[take[order]]
+        served = rows.take(take[order], axis=0)
         served[:, _DONE] = done[order]
         served[:, _FINISH] = finish[order]
         key = key[order]
-        bounds = np.flatnonzero(key[1:] != key[:-1]) + 1
-        for part, k in zip(np.split(served, bounds), key[np.append(0, bounds)].tolist()):
-            self._buckets.setdefault(k, []).append(part)
+        edges = [0, *(np.flatnonzero(key[1:] != key[:-1]) + 1).tolist(), take.size]
+        for lo, hi, k in zip(edges, edges[1:], key[edges[:-1]].tolist()):
+            self._buckets.setdefault(k, []).append(served[lo:hi])
 
     def _emit_due(self, cutoff_us: int) -> None:
         for key in sorted(k for k in self._buckets if k <= cutoff_us // WINDOW_US):
             rows = np.concatenate(self._buckets.pop(key))
             late = rows[:, _FINISH] > cutoff_us
             if late.any():
-                self._buckets[key] = [rows[late]]
-                rows = rows[~late]
+                self._buckets[key] = [rows.compress(late, axis=0)]
+                rows = rows.compress(~late, axis=0)
             self._emit(rows)
 
     def _emit(self, rows: np.ndarray) -> None:
@@ -236,7 +243,7 @@ class TaskPipeline:
             rows = _in_finish_order(rows)
             self._record(rows)
         if self.on_validated is not None:
-            txs = rows[rows[:, _KIND] == TaskKind.TRANSACTION_VALIDATION]
+            txs = rows.compress(rows[:, _KIND] == TaskKind.TRANSACTION_VALIDATION, axis=0)
             self._validate(txs if self.record_sink is not None else _in_finish_order(txs))
 
     def _record(self, rows: np.ndarray) -> None:
@@ -281,7 +288,8 @@ def _in_finish_order(rows: np.ndarray) -> np.ndarray:
     """Rows sorted by (finish, completion, arrival, task id): the order in
     which a per-task event loop would see the tasks finish."""
     arrival = rows[:, _CREATED] + rows[:, _UP]
-    return rows[np.lexsort((rows[:, _TID], arrival, rows[:, _DONE], rows[:, _FINISH]))]
+    return rows.take(np.lexsort((rows[:, _TID], arrival, rows[:, _DONE], rows[:, _FINISH])),
+                     axis=0)
 
 
 class ScenarioRunner:

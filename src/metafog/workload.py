@@ -88,9 +88,11 @@ class Placement:
     is on the owner's path to the cloud, or is an edge or the cloud, so a
     transfer is the difference of two per-node costs to the cloud when the
     server is above the owner, and their sum when the path runs through the
-    cloud. apply() maps buffered task columns to those values with numpy
-    fancy indexing; they equal place(), transfer_time over Topology.path
-    and service_time_us task by task.
+    cloud. Those costs are kept for every (kind, node) in one flat table per
+    direction, entry kind * nodes + node. apply() maps buffered task columns
+    to those values, with np.where for the table slot and take for every
+    lookup; they equal place(), transfer_time over Topology.path and
+    service_time_us task by task.
     """
 
     def __init__(self, policy: Policy, topo: Topology, profiles: dict,
@@ -126,7 +128,7 @@ class Placement:
                                 for k in TaskKind])
         labels = [profiles[KIND_LABELS[k]] for k in TaskKind]
         self._up, self._down = (
-            np.stack([topo.transfer_to_cloud_us(p[key]) for p in labels])
+            np.concatenate([topo.transfer_to_cloud_us(p[key]) for p in labels])
             for key in ("upload_bytes", "download_bytes"))
         self._length = np.array([p.get("length_mi", p.get("base_length_mi")) for p in labels])
         self._per_candidate = np.array([p.get("per_neighbor_mi", 0) for p in labels])
@@ -134,12 +136,15 @@ class Placement:
     def apply(self, kind: np.ndarray, owner: np.ndarray, region: np.ndarray,
               candidates: np.ndarray) -> tuple[np.ndarray, ...]:
         """(server index, uplink, service, downlink) of each task, in microseconds."""
-        scope = self._scope[kind]
-        slot = np.select((scope == 0, scope == 1), (owner, region * self._k + owner % self._k))
-        server = self._server[self._offset[kind] + slot]
-        device = self._device[owner]
-        sign = np.where((server == self._above[owner]) | (server == self._above2[owner]), -1, 1)
-        up = self._up[kind, device] + sign * self._up[kind, server]
-        down = self._down[kind, device] + sign * self._down[kind, server]
-        length = self._length[kind] + self._per_candidate[kind] * candidates
-        return server, up, service_time_us(length, self.capacity[server]), down
+        scope, k = self._scope.take(kind), self._k
+        slot = np.where(scope == 0, owner, np.where(scope == 1, region * k + owner % k, 0))
+        server = self._server.take(self._offset.take(kind) + slot)
+        sign = np.where((server == self._above.take(owner)) | (server == self._above2.take(owner)),
+                        -1, 1)
+        base = kind * len(self.node_ids)
+        at_device = base + self._device.take(owner)
+        at_server = base + server
+        up = self._up.take(at_device) + sign * self._up.take(at_server)
+        down = self._down.take(at_device) + sign * self._down.take(at_server)
+        length = self._length.take(kind) + self._per_candidate.take(kind) * candidates
+        return server, up, service_time_us(length, self.capacity.take(server)), down

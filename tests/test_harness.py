@@ -56,10 +56,6 @@ class TestConfig:
         with pytest.raises(ConfigError, match=r"bandwidth_mbps.*integer > 0"):
             resolve_config({"topology": {"links": {"device_fog": {"bandwidth_mbps": 0}}}})
 
-    def test_radius_larger_than_cell_rejected(self):
-        with pytest.raises(ConfigError, match="proximity_radius"):
-            resolve_config({"world": {"proximity_radius": 90.0}})
-
     def test_warmup_beyond_horizon_rejected(self):
         with pytest.raises(ConfigError, match="warmup_ms"):
             resolve_config({"experiment": {"horizon_ms": 1_000.0}})
@@ -324,6 +320,44 @@ class TestResolve:
                 for finish, done, arrival, i in finished]
             assert p_validated == list(groups.items())
             assert p.in_flight() == p.unfinished() == len(tasks) - len(finished)
+
+    def test_a_held_task_goes_before_a_later_task_that_arrives_with_it(self):
+        # Task 0 is still in its uplink at the first cutoff; task 1 is
+        # submitted in the next window. Both reach server 0 at 1100.
+        tasks = [(900, 0, 200, 100, 10, False), (1050, 0, 50, 100, 10, False)]
+        records = []
+        pipeline = TaskPipeline(_GivenPlacement(tasks), record_sink=records.append)
+        pipeline.submit(TaskKind.SPATIAL_NAVIGATION, 7, 900, 0)
+        pipeline.resolve(999)
+        assert pipeline.unfinished() == 1 and not records
+        pipeline.submit(TaskKind.SPATIAL_NAVIGATION, 7, 1050, 1)
+        pipeline.resolve(2_000)
+        assert [(r.task_id, r.wait_us, r.total_us) for r in records] == [(0, 0, 310), (1, 100, 260)]
+
+    def test_a_window_with_nothing_to_serve_changes_nothing(self):
+        records, validated = [], []
+        pipeline = TaskPipeline(_GivenPlacement([(100, 1, 500, 50, 5, True)]),
+                                record_sink=records.append)
+        pipeline.on_validated = lambda at, txs: validated.append((at, txs))
+
+        def state():
+            return (pipeline.tasks_generated, pipeline.generated[:], pipeline.completed[:],
+                    pipeline.records_emitted, pipeline.busy_until.tolist(),
+                    pipeline.in_flight(), pipeline.unfinished(), records[:], validated[:])
+
+        fresh = state()
+        pipeline.resolve(99)  # no submissions
+        assert state() == fresh
+        pipeline.submit(TaskKind.TRANSACTION_VALIDATION, 7, 100, 0, 0, "tx0")
+        pipeline.resolve(599)  # the task reaches its server at 600
+        taken = (1, [0, 0, 0, 1, 0], [0] * 5, 0, [0] * 4, 1, 1, [], [])
+        assert state() == taken
+        pipeline.resolve(599)  # nothing new, the task still in its uplink
+        assert state() == taken
+        pipeline.resolve(1_000)
+        assert [(r.task_id, r.wait_us, r.total_us) for r in records] == [(0, 0, 555)]
+        assert validated == [(655, ["tx0"])]
+        assert pipeline.in_flight() == pipeline.unfinished() == 0
 
 
 class TestSweep:

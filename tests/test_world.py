@@ -341,6 +341,22 @@ class TestRunnerGrids:
         for user in range(600):
             assert set(world.nearby_users(user, 30.0)) == brute_force_nearby(world, user, 30.0)
 
+    def test_a_radius_above_the_cell_is_accepted_and_runs_exact(self):
+        cfg = resolve_config({
+            "world": {"proximity_radius": 50.0},
+            "workload": {"user_count": 600, "message_rate_per_user_per_s": 1.0},
+            "experiment": {"horizon_ms": 3_500.0, "warmup_ms": 0.0},
+        })
+        assert cfg["world"]["proximity_radius"] > cfg["world"]["cell"] == 40.0
+        runner = ScenarioRunner(cfg, Policy.FOG_EDGE, 42)
+        runner.run()
+        world = runner.world
+        assert world.near_grid == CellGrid(50.0, 20, 20)
+        assert runner.messages_sent > 0
+        check_grids(world)
+        for user in range(600):
+            assert set(world.nearby_users(user, 50.0)) == brute_force_nearby(world, user, 50.0)
+
     def test_a_tiny_radius_runs_on_a_bounded_proximity_grid(self):
         cfg = resolve_config({"world": {"proximity_radius": 1e-6},
                               "experiment": {"horizon_ms": 5_000.0, "warmup_ms": 0.0}})
