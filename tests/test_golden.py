@@ -42,6 +42,12 @@ SCENARIOS = {
         "topology": {"edges_per_region": 3},
         "workload": {"user_count": 600, "message_rate_per_user_per_s": 0.5},
         "experiment": _experiment(30_000.0)}),
+    # Twelve edges per region: their ids sort as strings (edge-r-10 before edge-r-2), while
+    # fogs attach to them round-robin in creation order. Pinned before the column builder.
+    "fogedge-12edges": (Policy.FOG_EDGE, {
+        "topology": {"edges_per_region": 12, "devices_per_fog": 3},
+        "workload": {"user_count": 600},
+        "experiment": _experiment(30_000.0)}),
     # 16.1 ms is one of the decimal delays a binary float product rounds a microsecond high
     "cloud-decimal-link": (Policy.CLOUD_ONLY, {
         "topology": {"links": {"edge_cloud": {"propagation_ms": 16.1}}},
@@ -76,6 +82,11 @@ GOLDEN = {
         "results.csv": "db92d5b6bb71238752e0a528a647740d5114c10d42d14b1858515a7c54705eba",
         "run_metadata.json": "609ff8c7c39dd180f0e60ccccd5251a4c1b661794ee225e9a232b5bbf3aced7f",
         "chain.txt": "a4c2c2030747b432c2f4278850ef9b88ad772d7b1843534a396a8898c4c91fff",
+    },
+    "fogedge-12edges": {
+        "results.csv": "4013d4ff8a822680673cdff3ea88939fddf27a54f76fee7eeaeed64fa39abc73",
+        "run_metadata.json": "eb1a806a5257bfaa611a3d9762027761e9b87a05a2272825b247ecfc38d20e8e",
+        "chain.txt": "c97020383f2e79baf21c475d759401ca75f28dd92f066d31811c972dadcb2465",
     },
     "fogedge-ledger": {
         "results.csv": "331a88592583c83ecf857ab62be2bd65994d92cf04b7fed54ea1bf5509681852",
