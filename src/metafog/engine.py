@@ -82,25 +82,19 @@ class RngStream:
         return self._rng.randrange(n)
 
     def exponential_us(self, rate_per_ms: float) -> int:
-        """Exponentially distributed delay, as integer microseconds."""
-        return draw_exponential(self, rate_per_ms)
+        """Draw -ln(u)/rate with u uniform in (0, 1], returned as microseconds.
+
+        rate_per_ms is the event rate per millisecond of simulated time.
+        """
+        if rate_per_ms <= 0:
+            raise ConfigError(f"exponential draw requires rate > 0, got {rate_per_ms}")
+        u = 1.0 - self._rng.random()  # random() is [0,1); u is (0,1]
+        return math.ceil(-math.log(u) / rate_per_ms * US_PER_MS)
 
 
 # u = 1 - random() is at least 2**-53, so no exponential draw exceeds this
 # many means.
 MAX_EXPONENTIAL_MEANS = -math.log(2.0 ** -53)
-
-
-def draw_exponential(stream: RngStream, rate_per_ms: float) -> int:
-    """Draw -ln(u)/rate with u uniform in (0, 1], returned as microseconds.
-
-    rate_per_ms is the event rate per millisecond of simulated time.
-    """
-    if rate_per_ms <= 0:
-        raise ConfigError(f"exponential draw requires rate > 0, got {rate_per_ms}")
-    u = 1.0 - stream.random()  # random() is [0,1); u is (0,1]
-    delta_ms = -math.log(u) / rate_per_ms
-    return math.ceil(delta_ms * US_PER_MS)
 
 
 class Engine:

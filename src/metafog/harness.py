@@ -328,8 +328,9 @@ class ScenarioRunner:
         self.world = World(self.grid, self.n_users, world_cfg["avatar_speed"],
                            self.streams[STREAM_MOVEMENT], self.radius)
 
+        regions = self.grid.all_regions()
         topo, devices, fogs = infra.build_user_topology(
-            self.world.regions_of_users(), self.grid.all_regions(), cfg["topology"])
+            self.world.regions_of_users(), regions, cfg["topology"])
         self.topo = topo
         self.home_fog_of_user = fogs
 
@@ -337,8 +338,7 @@ class ScenarioRunner:
         self.pipelines: dict[Policy, TaskPipeline] = {}
         self.chains: dict[Policy, Chain] = {}
         for pol in self.policies:
-            placement = Placement(pol, topo, wl["profiles"], devices, fogs,
-                                  self.grid.all_regions())
+            placement = Placement(pol, topo, wl["profiles"], devices, regions)
             pipeline = self.pipelines[pol] = TaskPipeline(placement, self.warmup_us, record_sink)
             chain = self.chains[pol] = Chain()
             pipeline.on_validated = partial(self._tx_validated, chain)

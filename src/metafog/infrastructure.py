@@ -11,6 +11,7 @@ waiting time rather than loss.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from enum import IntEnum
 from typing import NamedTuple
 
@@ -51,160 +52,132 @@ class Link:
 
 
 class Topology:
-    """A validated tree of nodes plus path/transfer helpers.
+    """A validated tree, held as per-node columns indexed like node_ids.
 
-    Construction checks the full set of structural invariants and raises
-    TopologyError naming the offending node: exactly one cloud root, every
-    other node has exactly one parent link, parents sit exactly one tier up,
-    every edge server carries a region, every region referenced by an edge
-    has at least one edge server, capacities are positive.
+    node_ids is sorted. The int64 columns are, per node: tier; parent, the
+    index of its parent, the cloud being its own parent; capacity in MIPS;
+    and uplink_us and uplink_mbps, the propagation delay and bandwidth of the
+    link to its parent, 0 at the cloud. edges_by_region maps a region to the
+    indexes of its edge servers, so in the order of their ids as strings.
+    cloud is the cloud's index and cloud_id its id.
+
+    Topology(nodes, links) validates a hand-built tree of NetworkNode and Link
+    objects; build_user_topology fills the columns straight from a config.
+    Both end in one column check, which raises TopologyError naming the
+    offending node: ids are unique, capacities positive, there is exactly one
+    cloud, it has no parent and every other node has one, one tier up, over a
+    link with a delay >= 0 and a bandwidth > 0, and every edge server carries
+    a region.
     """
 
     def __init__(self, nodes: list[NetworkNode], links: list[Link]):
-        by_id: dict[str, NetworkNode] = {}
-        for n in nodes:
-            if n.id in by_id:
-                raise TopologyError(f"duplicate node id {n.id!r}")
-            if n.capacity_mips <= 0:
-                raise TopologyError(f"node {n.id!r}: capacity must be > 0")
-            if n.tier == Tier.EDGE_SERVER and n.region is None:
-                raise TopologyError(f"edge server {n.id!r} has no region")
-            by_id[n.id] = n
-        self.nodes_by_id = by_id
-
-        clouds = [n for n in nodes if n.tier == Tier.CLOUD_SERVER]
-        if len(clouds) != 1:
-            raise TopologyError(f"expected exactly one cloud node, found {len(clouds)}")
-
-        parent_link: dict[str, Link] = {}
+        ids = [n.id for n in nodes]
+        index = {node_id: i for i, node_id in enumerate(ids)}
+        parent = [-1] * len(nodes)
+        delay = [0] * len(nodes)
+        mbps = [0] * len(nodes)
         for link in links:
-            if link.child not in by_id:
-                raise TopologyError(f"link references unknown node {link.child!r}")
-            if link.parent not in by_id:
-                raise TopologyError(f"link references unknown node {link.parent!r}")
-            if link.child in parent_link:
+            for end in (link.child, link.parent):
+                if end not in index:
+                    raise TopologyError(f"link references unknown node {end!r}")
+            child = index[link.child]
+            if parent[child] >= 0:
                 raise TopologyError(f"node {link.child!r} has two parents")
-            if link.propagation_us < 0 or link.bandwidth_mbps <= 0:
-                raise TopologyError(
-                    f"link {link.child!r}-{link.parent!r}: bad parameters"
-                )
-            if by_id[link.parent].tier != by_id[link.child].tier + 1:
-                raise TopologyError(
-                    f"link {link.child!r}-{link.parent!r} does not connect adjacent tiers"
-                )
-            parent_link[link.child] = link
-
-        cloud = clouds[0]
-        for n in nodes:
-            if n.tier == Tier.CLOUD_SERVER:
-                if n.parent is not None or n.id in parent_link:
-                    raise TopologyError(f"cloud node {n.id!r} must have no parent")
+            parent[child] = index[link.parent]
+            delay[child], mbps[child] = link.propagation_us, link.bandwidth_mbps
+        for n, up in zip(nodes, parent):
+            if n.parent is None:
                 continue
-            link = parent_link.get(n.id)
-            if link is None:
-                raise TopologyError(f"node {n.id!r} is an orphan (no parent link)")
-            if n.parent is not None and n.parent != link.parent:
+            if n.tier == Tier.CLOUD_SERVER:
+                raise TopologyError(f"cloud node {n.id!r} must have no parent")
+            if up >= 0 and ids[up] != n.parent:
                 raise TopologyError(
-                    f"node {n.id!r}: parent field {n.parent!r} does not match link {link.parent!r}"
-                )
+                    f"node {n.id!r}: parent field {n.parent!r} does not match link {ids[up]!r}")
+        self._hold(ids, [n.tier for n in nodes], parent, [n.capacity_mips for n in nodes],
+                   delay, mbps, [n.region for n in nodes])
 
-        self.cloud_id = cloud.id
-        self._parent_link = parent_link
-        self.links = list(parent_link.values())
+    @classmethod
+    def from_columns(cls, ids: list[str], tier, parent, capacity, uplink_us, uplink_mbps,
+                     region: list) -> "Topology":
+        """A topology from columns in any node order; parent indexes that order, -1 for none."""
+        topo = cls.__new__(cls)
+        topo._hold(ids, tier, parent, capacity, uplink_us, uplink_mbps, region)
+        return topo
 
-        # Ancestor chain (self first, cloud last) per node; doubles as the
-        # cycle check since tiers strictly ascend.
-        self._chain: dict[str, tuple[str, ...]] = {}
-        for n in nodes:
-            chain = [n.id]
-            cur = n.id
-            while cur != cloud.id:
-                cur = parent_link[cur].parent
-                chain.append(cur)
-            self._chain[n.id] = tuple(chain)
-
-        self.edges_by_region: dict[tuple[int, int], list[str]] = {}
-        for n in nodes:
-            if n.tier == Tier.EDGE_SERVER:
-                self.edges_by_region.setdefault(n.region, []).append(n.id)
-        for region in self.edges_by_region:
-            self.edges_by_region[region].sort()
-
-        self.node_ids = sorted(by_id)
-        self.node_index = {node_id: i for i, node_id in enumerate(self.node_ids)}
+    def _hold(self, ids, tier, parent, capacity, uplink_us, uplink_mbps, region) -> None:
+        """Check the columns and keep them sorted by node id."""
+        order = sorted(range(len(ids)), key=ids.__getitem__)
+        self.node_ids = node_ids = [ids[i] for i in order]
+        if len(set(node_ids)) < len(node_ids):
+            twice = next(a for a, b in zip(node_ids, node_ids[1:]) if a == b)
+            raise TopologyError(f"duplicate node id {twice!r}")
+        order = np.array(order, dtype=np.int64)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        tier, parent, capacity, uplink_us, uplink_mbps = (
+            np.asarray(column, dtype=np.int64).take(order)
+            for column in (tier, parent, capacity, uplink_us, uplink_mbps))
+        parent = np.where(parent < 0, -1, rank.take(parent))
+        if (i := _first(capacity <= 0)) is not None:
+            raise TopologyError(f"node {node_ids[i]!r}: capacity must be > 0")
+        clouds = np.flatnonzero(tier == Tier.CLOUD_SERVER)
+        if clouds.size != 1:
+            raise TopologyError(f"expected exactly one cloud node, found {clouds.size}")
+        cloud = int(clouds[0])
+        if parent[cloud] >= 0:
+            raise TopologyError(f"cloud node {node_ids[cloud]!r} must have no parent")
+        parent[cloud] = cloud
+        if (i := _first(parent < 0)) is not None:
+            raise TopologyError(f"node {node_ids[i]!r} is an orphan (no parent link)")
+        for bad, message in (((uplink_us < 0) | (uplink_mbps <= 0), "bad parameters"),
+                             (tier.take(parent) != tier + 1, "does not connect adjacent tiers")):
+            bad[cloud] = False
+            if (i := _first(bad)) is not None:
+                raise TopologyError(f"link {node_ids[i]!r}-{node_ids[parent[i]]!r}: {message}")
+        self.edges_by_region: dict[tuple[int, int], list[int]] = {}
+        edges = np.flatnonzero(tier == Tier.EDGE_SERVER)
+        for i, at in zip(edges.tolist(), order.take(edges).tolist()):
+            if region[at] is None:
+                raise TopologyError(f"edge server {node_ids[i]!r} has no region")
+            self.edges_by_region.setdefault(region[at], []).append(i)
+        self.tier, self.parent, self.capacity = tier, parent, capacity
+        self.uplink_us, self.uplink_mbps = uplink_us, uplink_mbps
+        self.cloud, self.cloud_id = cloud, node_ids[cloud]
         self._to_cloud: dict[int, np.ndarray] = {}
 
-    def edge_of_region(self, region: tuple[int, int], owner: int = 0) -> str:
-        """The edge server serving a region; owner spreads load when several exist."""
+    @cached_property
+    def node_index(self) -> dict[str, int]:
+        return {node_id: i for i, node_id in enumerate(self.node_ids)}
+
+    def edge_of_region(self, region: tuple[int, int], owner: int = 0) -> int:
+        """Index of the edge server serving a region; owner spreads load when several exist."""
         edges = self.edges_by_region.get(region)
         if not edges:
             raise TopologyError(f"region {region} has no edge server")
         return edges[owner % len(edges)]
 
-    def path(self, src: str, dst: str) -> tuple[Link, ...]:
-        """Ordered links of the unique tree path; path(n, n) is empty."""
-        up = self._chain.get(src)
-        down = self._chain.get(dst)
-        if up is None:
-            raise TopologyError(f"unknown node id {src!r}")
-        if down is None:
-            raise TopologyError(f"unknown node id {dst!r}")
-        down_set = set(down)
-        lca = next(node_id for node_id in up if node_id in down_set)
-        hops = []
-        for node_id in up:
-            if node_id == lca:
-                break
-            hops.append(self._parent_link[node_id])
-        descend = []
-        for node_id in down:
-            if node_id == lca:
-                break
-            descend.append(self._parent_link[node_id])
-        hops.extend(reversed(descend))
-        return tuple(hops)
-
-    def ancestors(self, node_id: str) -> tuple[str, ...]:
-        """The node and every node above it, the cloud last."""
-        return self._chain[node_id]
-
     def transfer_to_cloud_us(self, payload_bytes: int) -> np.ndarray:
-        """transfer_time(payload_bytes, path(node, cloud)) of every node, indexed like node_ids.
+        """One-way transfer time of every node's path to the cloud, indexed like node_ids.
 
-        A node's cost is its uplink hop plus its parent's cost, filled a tier
-        at a time from the cloud down.
+        Per hop: propagation plus payload_bits / bandwidth, the division
+        rounded up to the next microsecond (bits / Mbps is exactly
+        microseconds). The cloud's hop is free and it is its own parent, and
+        no node is more than three hops below it, so a node's cost is its
+        hop, its parent's and its grandparent's.
         """
         cost = self._to_cloud.get(payload_bytes)
         if cost is None:
-            nodes = [self.nodes_by_id[node_id] for node_id in self.node_ids]
-            up = [self._parent_link.get(node_id) for node_id in self.node_ids]
-            parent = np.array([self.node_index[link.parent] if link else 0 for link in up])
-            tier = np.array([n.tier for n in nodes])
-            bandwidth = np.array([link.bandwidth_mbps if link else 1 for link in up])
-            cost = np.array([link.propagation_us if link else 0 for link in up], dtype=np.int64)
-            cost += ceil_div(payload_bytes * 8, bandwidth)
-            cost[tier == Tier.CLOUD_SERVER] = 0
-            for t in (Tier.EDGE_SERVER, Tier.FOG_SERVER, Tier.END_DEVICE):
-                at = tier == t
-                cost[at] += cost[parent[at]]
-            self._to_cloud[payload_bytes] = cost
+            hop = self.uplink_us + ceil_div(payload_bytes * 8, np.maximum(self.uplink_mbps, 1))
+            hop[self.cloud] = 0
+            up = self.parent
+            cost = self._to_cloud[payload_bytes] = hop + hop.take(up) + hop.take(up.take(up))
         return cost
 
 
-def transfer_time(payload_bytes: int, route: tuple[Link, ...] | list[Link]) -> int:
-    """One-way transfer time in microseconds over an ordered list of links.
-
-    Per link: propagation plus payload_bits / bandwidth, the division rounded
-    up to the next microsecond (bits / Mbps is exactly microseconds). An empty
-    route costs nothing.
-    """
-    bits = payload_bytes * 8
-    total = 0
-    for link in route:
-        total += link.propagation_us
-        if bits:
-            total += ceil_div(bits, link.bandwidth_mbps)
-    return total
+def _first(mask: np.ndarray) -> int | None:
+    """Index of the first true entry, None if there is none."""
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if hits.size else None
 
 
 def service_time_us(length_mi, capacity_mips):
@@ -303,50 +276,55 @@ def build_user_topology(
     capacities, per-hop links, edges_per_region and devices_per_fog. Every
     user u gets device dev-u under a fog in their starting region; fogs are
     created per region, devices_per_fog users each, and attach to the
-    region's edge servers round-robin. Every region of the world grid gets
-    its edge servers whether or not users start there.
+    region's edge servers round-robin in the order they were created. Every
+    region of the world grid gets its edge servers whether or not users start
+    there. The nodes are rows of columns, filled tier by tier from the config.
 
     Returns (topology, device_id_per_user, home_fog_per_user).
     """
     edges_per_region = topology_cfg["edges_per_region"]
     devices_per_fog = topology_cfg["devices_per_fog"]
-    device_mips, fog_mips, edge_mips, cloud_mips = (
-        topology_cfg[f"{tier}_mips"] for tier in ("device", "fog", "edge", "cloud"))
-    links_cfg = topology_cfg["links"]
-    device_fog, fog_edge, edge_cloud = (
-        (ms_to_us(links_cfg[hop]["propagation_ms"]), links_cfg[hop]["bandwidth_mbps"])
-        for hop in ("device_fog", "fog_edge", "edge_cloud"))
-    nodes = [NetworkNode("cloud", Tier.CLOUD_SERVER, cloud_mips)]
-    links: list[Link] = []
-    edge_ids: dict[tuple[int, int], list[str]] = {}
-    for rx, ry in all_regions:
-        ids = []
-        for k in range(edges_per_region):
-            edge_id = f"edge-{rx}-{ry}" if edges_per_region == 1 else f"edge-{rx}-{ry}-{k}"
-            nodes.append(NetworkNode(edge_id, Tier.EDGE_SERVER, edge_mips, (rx, ry), "cloud"))
-            links.append(Link(edge_id, "cloud", *edge_cloud))
-            ids.append(edge_id)
-        edge_ids[(rx, ry)] = ids
+    # Per tier, indexed by Tier: capacity, and the delay and bandwidth of the uplink.
+    mips = np.array([topology_cfg[f"{t}_mips"] for t in ("device", "fog", "edge", "cloud")])
+    hops = [topology_cfg["links"][hop] for hop in ("device_fog", "fog_edge", "edge_cloud")]
+    delay = np.array([*(ms_to_us(hop["propagation_ms"]) for hop in hops), 0])
+    mbps = np.array([*(hop["bandwidth_mbps"] for hop in hops), 0])
 
-    users_in_region: dict[tuple[int, int], list[int]] = {}
-    for user, region in enumerate(user_regions):
-        users_in_region.setdefault(region, []).append(user)
+    # Rows: the cloud; each region's edges, regions in all_regions order; the
+    # fogs, region by region in sorted region order; one device per user.
+    n_edges = len(all_regions) * edges_per_region
+    if edges_per_region == 1:
+        edge_ids = [f"edge-{rx}-{ry}" for rx, ry in all_regions]
+    else:
+        edge_ids = [f"edge-{rx}-{ry}-{k}" for rx, ry in all_regions for k in range(edges_per_region)]
+    by_rank = sorted(range(len(all_regions)), key=all_regions.__getitem__)
+    rank = np.empty(len(all_regions), dtype=np.int64)
+    rank[by_rank] = np.arange(len(all_regions))
+    at = {region: i for i, region in enumerate(all_regions)}
+    # home: each user's starting region, as its rank in sorted region order
+    home = rank.take(np.array([at[region] for region in user_regions], dtype=np.int64))
+    # A region's members, in user order, fill its fogs devices_per_fog at a time.
+    members = np.bincount(home, minlength=len(all_regions))
+    grouped = np.argsort(home, kind="stable")
+    seat = np.empty_like(home)  # a user's position among the members of its region
+    seat[grouped] = np.arange(home.size) - (np.cumsum(members) - members).take(home.take(grouped))
+    fogs = ceil_div(members, devices_per_fog)
+    first_fog = np.cumsum(fogs) - fogs
+    fog_of = first_fog.take(home) + seat // devices_per_fog
+    fog_ids = [f"fog-{rx}-{ry}-{i}" for (rx, ry), count in
+               zip(map(all_regions.__getitem__, by_rank), fogs.tolist()) for i in range(count)]
+    # Fog i of a region attaches to the region's edge i mod edges_per_region.
+    fog_rank = np.repeat(np.arange(len(all_regions)), fogs)
+    fog_parent = (1 + np.array(by_rank, dtype=np.int64).take(fog_rank) * edges_per_region
+                  + (np.arange(len(fog_ids)) - first_fog.take(fog_rank)) % edges_per_region)
+    device_ids = [f"dev-{user}" for user in range(len(user_regions))]
 
-    device_of_user = [""] * len(user_regions)
-    fog_of_user = [""] * len(user_regions)
-    for region in sorted(users_in_region):
-        members = users_in_region[region]
-        edges = edge_ids[region]
-        n_fogs = ceil_div(len(members), devices_per_fog)
-        for i in range(n_fogs):
-            fog_id = f"fog-{region[0]}-{region[1]}-{i}"
-            parent_edge = edges[i % len(edges)]
-            nodes.append(NetworkNode(fog_id, Tier.FOG_SERVER, fog_mips, None, parent_edge))
-            links.append(Link(fog_id, parent_edge, *fog_edge))
-            for user in members[i * devices_per_fog:(i + 1) * devices_per_fog]:
-                dev_id = f"dev-{user}"
-                nodes.append(NetworkNode(dev_id, Tier.END_DEVICE, device_mips, None, fog_id))
-                links.append(Link(dev_id, fog_id, *device_fog))
-                device_of_user[user] = dev_id
-                fog_of_user[user] = fog_id
-    return Topology(nodes, links), device_of_user, fog_of_user
+    tier = np.repeat([Tier.CLOUD_SERVER, Tier.EDGE_SERVER, Tier.FOG_SERVER, Tier.END_DEVICE],
+                     [1, n_edges, len(fog_ids), len(device_ids)])
+    parent = np.concatenate([[-1], np.zeros(n_edges, dtype=np.int64), fog_parent,
+                             1 + n_edges + fog_of])
+    region = [None, *(r for r in all_regions for _ in range(edges_per_region)),
+              *[None] * (len(fog_ids) + len(device_ids))]
+    topo = Topology.from_columns(["cloud", *edge_ids, *fog_ids, *device_ids], tier, parent,
+                                 mips.take(tier), delay.take(tier), mbps.take(tier), region)
+    return topo, device_ids, list(map(fog_ids.__getitem__, fog_of.tolist()))

@@ -6,8 +6,8 @@ policy, it always returns the same node. CloudOnly sends everything to the
 cloud; FogEdge keeps avatar tasks at the owner's home fog, social and
 transaction-validation tasks at the edge server of the region where the
 avatar currently is, and universe simulation at the cloud. A Placement
-tabulates place(), with the transfer and service times it implies, once per
-topology and policy.
+tabulates that choice, with the transfer and service times it implies, once
+per topology and policy.
 """
 
 from __future__ import annotations
@@ -58,72 +58,47 @@ class Policy(str, Enum):
         raise ConfigError(f"unknown policy {name!r} (expected cloud or fogedge)")
 
 
-def place(kind: TaskKind, policy: Policy, topo: Topology, home_fog: str | None = None,
-          region: tuple[int, int] | None = None, owner: int = 0) -> str:
-    """Node that executes a task of this kind under the given policy.
-
-    home_fog is the owner's home fog id, required under FogEdge for avatar
-    tasks. Region-bound kinds use an edge server of region, the owner's
-    region when the task was created; owner spreads them when it has several.
-    """
-    if policy is Policy.CLOUD_ONLY:
-        return topo.cloud_id
-    if kind in AVATAR_KINDS:
-        if home_fog is None:
-            raise ConfigError(f"{KIND_LABELS[kind]} task of owner {owner} has no home fog")
-        return home_fog
-    if kind in REGION_KINDS:
-        if region is None:
-            raise ConfigError(f"{KIND_LABELS[kind]} task carries no region")
-        return topo.edge_of_region(region, owner)
-    return topo.cloud_id  # universe simulation
-
-
 class Placement:
     """Server, transfers and service time of every task under one policy, as arrays.
 
-    Built at set-up from place(): per kind, a server table indexed by the
-    owner for avatar tasks, by (region, owner mod the edges of a region) for
-    region-bound tasks, and one entry for universe simulation. Every server
-    is on the owner's path to the cloud, or is an edge or the cloud, so a
-    transfer is the difference of two per-node costs to the cloud when the
-    server is above the owner, and their sum when the path runs through the
-    cloud. Those costs are kept for every (kind, node) in one flat table per
-    direction, entry kind * nodes + node. apply() maps buffered task columns
-    to those values, with np.where for the table slot and take for every
-    lookup; they equal place(), transfer_time over Topology.path and
-    service_time_us task by task.
+    Built at set-up from the topology's columns. Each owner's device is
+    looked up once; its home fog and that fog's edge are the device's parent
+    and grandparent. There is one server table for the avatar kinds, indexed
+    by the owner: its home fog under FogEdge. One for the region-bound kinds,
+    indexed by (region, owner mod the edges of a region): the region's edge
+    servers round-robin in id order under FogEdge. And one entry, the cloud,
+    for universe simulation. CloudOnly puts the cloud in every entry.
+
+    Every server is on the owner's path to the cloud, or is an edge or the
+    cloud, so a transfer is the difference of two per-node costs to the cloud
+    when the server is above the owner, and their sum when the path runs
+    through the cloud. Those costs are kept for every (kind, node) in one
+    flat table per direction, entry kind * nodes + node. apply() maps
+    buffered task columns to those values, with np.where for the table slot
+    and take for every lookup.
     """
 
     def __init__(self, policy: Policy, topo: Topology, profiles: dict,
-                 device_of_user: list[str], home_fog_of_user: list[str],
-                 regions: list[tuple[int, int]]):
+                 device_of_user: list[str], regions: list[tuple[int, int]]):
         self.policy = policy
         self.node_ids = topo.node_ids
-        index = topo.node_index
-        self.capacity = np.array([topo.nodes_by_id[n].capacity_mips for n in topo.node_ids],
-                                 dtype=np.int64)
+        self.capacity = topo.capacity
         # Per owner: its device and the two nodes above it; the last entry
         # stands for SYSTEM_OWNER (index -1), whose tasks start at the cloud.
-        chains = [topo.ancestors(d) for d in device_of_user] + [(topo.cloud_id,)]
-        self._device, self._above, self._above2 = (
-            np.array([index[chain[min(i, len(chain) - 1)]] for chain in chains])
-            for i in (0, 1, 2))
+        index = topo.node_index
+        self._device = np.array([*map(index.__getitem__, device_of_user), topo.cloud])
+        self._above = topo.parent.take(self._device)
+        self._above2 = topo.parent.take(self._above)
         self._k = math.lcm(*map(len, topo.edges_by_region.values()))
-        tables, offsets = [], []
-        for kind in TaskKind:
-            if kind in AVATAR_KINDS:
-                by_fog = {f: place(kind, policy, topo, f) for f in dict.fromkeys(home_fog_of_user)}
-                table = [by_fog[f] for f in home_fog_of_user]
-            elif kind in REGION_KINDS:
-                table = [place(kind, policy, topo, region=r, owner=j)
-                         for r in regions for j in range(self._k)]
-            else:
-                table = [place(kind, policy, topo)]
-            offsets.append(sum(map(len, tables)))
-            tables.append([index[n] for n in table])
-        self._server = np.array([i for table in tables for i in table])
-        self._offset = np.array(offsets)
+        users, slots = len(device_of_user), len(regions) * self._k
+        if policy is Policy.FOG_EDGE:
+            by_region = [topo.edge_of_region(r, j) for r in regions for j in range(self._k)]
+            self._server = np.concatenate([self._above[:users], np.array(by_region, dtype=np.int64),
+                                           [topo.cloud]])
+        else:
+            self._server = np.full(users + slots + 1, topo.cloud)
+        self._offset = np.array([0 if k in AVATAR_KINDS else users if k in REGION_KINDS
+                                 else users + slots for k in TaskKind])
         self._scope = np.array([0 if k in AVATAR_KINDS else 1 if k in REGION_KINDS else 2
                                 for k in TaskKind])
         labels = [profiles[KIND_LABELS[k]] for k in TaskKind]

@@ -189,8 +189,7 @@ def test_criterion_5_hand_trace_oracle():
         "spatial_navigation": {"length_mi": 50, "upload_bytes": 2_000, "download_bytes": 1_000},
         "social_interaction": {"length_mi": 30, "upload_bytes": 1_000, "download_bytes": 1_000},
     }
-    placement = Placement(Policy.FOG_EDGE, topo, profiles, ["dev-0", "dev-1"],
-                          ["fog-0", "fog-0"], [(0, 0)])
+    placement = Placement(Policy.FOG_EDGE, topo, profiles, ["dev-0", "dev-1"], [(0, 0)])
     records = []
     pipeline = TaskPipeline(placement, record_sink=records.append)
     pipeline.submit(TaskKind.SPATIAL_NAVIGATION, 0, 0)  # task ids are submit indexes

@@ -11,7 +11,6 @@ from metafog.engine import (
     EV_TASK_ARRIVAL,
     Engine,
     RngStream,
-    draw_exponential,
     ms_to_us,
 )
 from metafog.errors import ConfigError, EventInPastError, SimulationError
@@ -148,19 +147,19 @@ class TestDrawExponential:
     def test_u_equal_one_gives_zero_delta(self):
         stream = RngStream(1, "service")
         stream._rng.random = lambda: 0.0  # forces u = 1 - 0.0 = 1
-        assert draw_exponential(stream, 1.0) == 0
+        assert stream.exponential_us(1.0) == 0
 
     def test_rejects_non_positive_rate(self):
         stream = RngStream(1, "service")
         for rate in (0, -1.5):
             with pytest.raises(ConfigError):
-                draw_exponential(stream, rate)
+                stream.exponential_us(rate)
 
     def test_sample_mean_matches_one_over_rate(self):
         # law of large numbers: rate 0.1/ms -> mean 10 ms, 100k draws within 2%
         stream = RngStream(99, "service")
         n = 100_000
-        total = sum(draw_exponential(stream, 0.1) for _ in range(n))
+        total = sum(stream.exponential_us(0.1) for _ in range(n))
         mean_ms = total / n / 1000
         assert math.isclose(mean_ms, 10.0, rel_tol=0.02)
 

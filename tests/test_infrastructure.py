@@ -17,9 +17,9 @@ from metafog.infrastructure import (
     fifo_completions,
     service_time_us,
     simulate_mm1,
-    transfer_time,
 )
 from metafog.workload import SYSTEM_OWNER, Placement, Policy, TaskKind
+from placement_oracle import links, nodes_by_id, path, reference_topology, transfer_time
 
 # The hand computations' tiers: the default topology with a 4 000 MIPS fog
 # and a 30 ms edge-cloud link.
@@ -46,32 +46,32 @@ def minimal_chain():
 class TestBuildTopology:
     def test_minimal_chain_counts(self):
         topo = minimal_chain()
-        assert len(topo.nodes_by_id) == 4
-        assert len(topo.links) == 3
+        assert len(nodes_by_id(topo)) == 4
+        assert len(links(topo)) == 3
 
     def test_regular_two_region_tree_has_fifteen_nodes(self):
         # cloud + 2 regions x (1 edge + 2 fogs + 4 devices) = 1 + 2*7
         regions = [(0, 0), (1, 0)]
         topo, _, _ = build_user_topology([r for r in regions for _ in range(4)], regions,
                                          {**PARAMS, "devices_per_fog": 2})
-        assert len(topo.nodes_by_id) == 15
-        tiers = [n.tier for n in topo.nodes_by_id.values()]
+        assert len(nodes_by_id(topo)) == 15
+        tiers = [n.tier for n in nodes_by_id(topo).values()]
         assert tiers.count(Tier.EDGE_SERVER) == 2
         assert tiers.count(Tier.FOG_SERVER) == 4
         assert tiers.count(Tier.END_DEVICE) == 8
 
     def test_device_with_two_parents_rejected(self):
         topo = minimal_chain()
-        nodes = list(topo.nodes_by_id.values())
+        nodes = list(nodes_by_id(topo).values())
         fog = next(n.id for n in nodes if n.tier == Tier.FOG_SERVER)
         dev = next(n.id for n in nodes if n.tier == Tier.END_DEVICE)
         extra_fog = NetworkNode("fog-extra", Tier.FOG_SERVER, 4_000, None, "edge-0-0")
-        links = list(topo.links) + [
+        extra_links = links(topo) + [
             Link("fog-extra", "edge-0-0", 5_000, 1_000),
             Link(dev, "fog-extra", 2_000, 100),
         ]
         with pytest.raises(TopologyError, match="two parents"):
-            Topology(nodes + [extra_fog], links)
+            Topology(nodes + [extra_fog], extra_links)
 
     def test_orphan_rejected_by_name(self):
         nodes = [
@@ -122,35 +122,131 @@ class TestBuildTopology:
             topo.edge_of_region((5, 5))
 
 
+def columns(topo):
+    """A topology's columns as plain lists, node and edge indexes spelt as ids."""
+    ids = topo.node_ids
+    return {"node_ids": ids, "tier": topo.tier.tolist(),
+            "parent": [ids[p] for p in topo.parent.tolist()], "capacity": topo.capacity.tolist(),
+            "uplink_us": topo.uplink_us.tolist(), "uplink_mbps": topo.uplink_mbps.tolist(),
+            "edges_by_region": {r: [ids[e] for e in edges]
+                                for r, edges in topo.edges_by_region.items()},
+            "cloud_id": topo.cloud_id}
+
+
+def reference_columns(nodes, links):
+    """The same lists read off NetworkNode and Link objects; the cloud is its own parent."""
+    by_id = {n.id: n for n in nodes}
+    uplink = {link.child: link for link in links}
+    ids = sorted(by_id)
+    edges_by_region = {}
+    for node_id in ids:
+        if by_id[node_id].tier == Tier.EDGE_SERVER:
+            edges_by_region.setdefault(by_id[node_id].region, []).append(node_id)
+    return {"node_ids": ids, "tier": [by_id[i].tier for i in ids],
+            "parent": [by_id[i].parent or i for i in ids],
+            "capacity": [by_id[i].capacity_mips for i in ids],
+            "uplink_us": [uplink[i].propagation_us if i in uplink else 0 for i in ids],
+            "uplink_mbps": [uplink[i].bandwidth_mbps if i in uplink else 0 for i in ids],
+            "edges_by_region": edges_by_region,
+            "cloud_id": next(n.id for n in nodes if n.tier == Tier.CLOUD_SERVER)}
+
+
+def reference_to_cloud_us(nodes, links, payload_bytes):
+    """transfer_time of each node's links up to the cloud, walked over the objects, in id order."""
+    by_id = {n.id: n for n in nodes}
+    uplink = {link.child: link for link in links}
+    costs = []
+    for node_id in sorted(by_id):
+        route = []
+        while by_id[node_id].parent is not None:
+            route.append(uplink[node_id])
+            node_id = by_id[node_id].parent
+        costs.append(transfer_time(payload_bytes, route))
+    return costs
+
+
+def assert_builder_matches_reference(homes, grid, topology):
+    topo, devices, fogs = build_user_topology(homes, grid, topology)
+    nodes, links_, ref_devices, ref_fogs = reference_topology(homes, grid, topology)
+    expected = reference_columns(nodes, links_)
+    assert columns(topo) == expected
+    assert columns(Topology(nodes, links_)) == expected
+    assert (devices, fogs) == (ref_devices, ref_fogs)
+    for payload in (0, 500, 1_000, 2_000):
+        assert topo.transfer_to_cloud_us(payload).tolist() == \
+            reference_to_cloud_us(nodes, links_, payload)
+
+
+_LINK = st.fixed_dictionaries({"propagation_ms": st.sampled_from([0.0, 0.5, 2.0, 16.1]),
+                                "bandwidth_mbps": st.integers(1, 10_000)})
+
+
+def topology_cfg(edges, devices_per_fog, links=None):
+    return {**PARAMS, "edges_per_region": edges, "devices_per_fog": devices_per_fog,
+            **({"links": dict(zip(("device_fog", "fog_edge", "edge_cloud"), links))}
+               if links else {})}
+
+
+class TestColumnBuilder:
+    """build_user_topology fills the columns the object-level reference tree implies."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), regions_x=st.integers(1, 3), regions_y=st.integers(1, 3),
+           edges=st.integers(1, 3), devices_per_fog=st.integers(1, 3),
+           links=st.tuples(_LINK, _LINK, _LINK))
+    def test_columns_equal_the_reference_builder(self, data, regions_x, regions_y, edges,
+                                                 devices_per_fog, links):
+        grid = [(rx, ry) for rx in range(regions_x) for ry in range(regions_y)]
+        # users start in some of the regions, so others have edges but no fog
+        occupied = sorted(data.draw(st.sets(st.sampled_from(grid), min_size=1,
+                                            max_size=max(1, len(grid) - 1))))
+        homes = data.draw(st.lists(st.sampled_from(occupied), min_size=1, max_size=20))
+        assert_builder_matches_reference(homes, grid, topology_cfg(edges, devices_per_fog, links))
+
+    @pytest.mark.parametrize("edges", [11, 12])
+    def test_many_edges_sort_as_strings_and_take_fogs_in_creation_order(self, edges):
+        # 14 one-device fogs in region (0, 1) wrap past the last edge; edge-0-1-10 sorts
+        # before edge-0-1-2, and region (1, 0) stays empty
+        grid = [(0, 0), (0, 1), (1, 0), (1, 1)]
+        homes = [(0, 1)] * 14 + [(1, 1)] * 3 + [(0, 0)]
+        assert_builder_matches_reference(homes, grid, topology_cfg(edges, 1))
+        topo, _, _ = build_user_topology(homes, grid, topology_cfg(edges, 1))
+        edge_ids = [topo.node_ids[e] for e in topo.edges_by_region[(0, 1)]]
+        assert edge_ids[:3] == ["edge-0-1-0", "edge-0-1-1", "edge-0-1-10"]
+        assert edge_ids[-1] == "edge-0-1-9"
+        fog = topo.node_index[f"fog-0-1-{edges}"]  # the first fog past the last edge
+        assert topo.node_ids[topo.parent[fog]] == "edge-0-1-0"
+
+
 class TestPath:
     def test_one_hop(self):
         topo = minimal_chain()
-        dev = next(n for n in topo.nodes_by_id if n.startswith("dev"))
-        fog = next(n for n in topo.nodes_by_id if n.startswith("fog"))
-        path = topo.path(dev, fog)
-        assert len(path) == 1
-        assert {path[0].child, path[0].parent} == {dev, fog}
+        dev = next(n for n in nodes_by_id(topo) if n.startswith("dev"))
+        fog = next(n for n in nodes_by_id(topo) if n.startswith("fog"))
+        route = path(topo, dev, fog)
+        assert len(route) == 1
+        assert {route[0].child, route[0].parent} == {dev, fog}
 
     def test_full_chain_is_three_links(self):
         topo = minimal_chain()
-        dev = next(n for n in topo.nodes_by_id if n.startswith("dev"))
-        assert len(topo.path(dev, "cloud")) == 3
+        dev = next(n for n in nodes_by_id(topo) if n.startswith("dev"))
+        assert len(path(topo, dev, "cloud")) == 3
 
     def test_identity_path_is_empty(self):
         topo = minimal_chain()
-        assert topo.path("cloud", "cloud") == ()
+        assert path(topo, "cloud", "cloud") == ()
 
     def test_unknown_node_rejected(self):
         topo = minimal_chain()
         with pytest.raises(TopologyError, match="nowhere"):
-            topo.path("nowhere", "cloud")
+            path(topo, "nowhere", "cloud")
 
     def test_sibling_path_goes_through_common_ancestor(self):
         # two users, one device per fog: two sibling fogs under the one edge
         topo, _, _ = build_user_topology([(0, 0)] * 2, [(0, 0)], {**PARAMS, "devices_per_fog": 1})
-        fogs = sorted(i for i, n in topo.nodes_by_id.items() if n.tier == Tier.FOG_SERVER)
-        path = topo.path(fogs[0], fogs[1])
-        assert len(path) == 2  # up to the edge, down to the sibling
+        fogs = sorted(i for i, n in nodes_by_id(topo).items() if n.tier == Tier.FOG_SERVER)
+        route = path(topo, fogs[0], fogs[1])
+        assert len(route) == 2  # up to the edge, down to the sibling
 
 
 class TestTransferTime:
@@ -249,10 +345,10 @@ class TestEndToEndLatency:
     @staticmethod
     def records(kind, owner):
         topo = minimal_chain()
-        dev = next(n for n in topo.nodes_by_id if n.startswith("dev"))
-        fog = next(n for n in topo.nodes_by_id if n.startswith("fog"))
+        dev = next(n for n in nodes_by_id(topo) if n.startswith("dev"))
+        fog = next(n for n in nodes_by_id(topo) if n.startswith("fog"))
         records = []
-        placement = Placement(Policy.FOG_EDGE, topo, PROFILES, [dev], [fog], [(0, 0)])
+        placement = Placement(Policy.FOG_EDGE, topo, PROFILES, [dev], [(0, 0)])
         pipeline = TaskPipeline(placement, record_sink=records.append)
         pipeline.submit(kind, owner, 0)
         pipeline.resolve(10_000_000)

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from metafog.config import resolve_config
 from metafog.errors import ConfigError
 from metafog.harness import run_scenario
-from metafog.infrastructure import build_user_topology, service_time_us, transfer_time
-from metafog.workload import KIND_LABELS, SYSTEM_OWNER, Placement, Policy, TaskKind, place
+from metafog.infrastructure import build_user_topology, service_time_us
+from metafog.workload import KIND_LABELS, SYSTEM_OWNER, Placement, Policy, TaskKind
+from placement_oracle import nodes_by_id, path, place, transfer_time
 
 
 def small_cfg(**workload):
@@ -87,7 +88,7 @@ class TestPlacementArrays:
                   c if k == TaskKind.COLLISION_DETECTION else 0) for k, o, r, c in tasks]
         columns = [np.array(column, dtype=np.int64) for column in zip(*tasks)]
         for policy in Policy:
-            placement = Placement(policy, topo, profiles, devices, fogs, grid)
+            placement = Placement(policy, topo, profiles, devices, grid)
             got = list(zip(*(column.tolist() for column in placement.apply(*columns))))
             for (kind, owner, region, candidates), (server, up, service, down) in zip(tasks, got):
                 system = owner == SYSTEM_OWNER
@@ -98,9 +99,9 @@ class TestPlacementArrays:
                 length = profile.get("length_mi", profile.get("base_length_mi"))
                 length += profile.get("per_neighbor_mi", 0) * candidates
                 assert topo.node_ids[server] == node
-                assert up == transfer_time(profile["upload_bytes"], topo.path(source, node))
-                assert down == transfer_time(profile["download_bytes"], topo.path(node, source))
-                assert service == service_time_us(length, topo.nodes_by_id[node].capacity_mips)
+                assert up == transfer_time(profile["upload_bytes"], path(topo, source, node))
+                assert down == transfer_time(profile["download_bytes"], path(topo, node, source))
+                assert service == service_time_us(length, nodes_by_id(topo)[node].capacity_mips)
 
 
 class TestTaskValidation:
