@@ -58,8 +58,8 @@ class Topology:
     index of its parent, the cloud being its own parent; capacity in MIPS;
     and uplink_us and uplink_mbps, the propagation delay and bandwidth of the
     link to its parent, 0 at the cloud. edges_by_region maps a region to the
-    indexes of its edge servers, so in the order of their ids as strings.
-    cloud is the cloud's index and cloud_id its id.
+    indexes of its edge servers in ascending order, which is the order of
+    their ids as strings. cloud is the cloud's index and cloud_id its id.
 
     Topology(nodes, links) validates a hand-built tree of NetworkNode and Link
     objects; build_user_topology fills the columns straight from a config.
@@ -99,7 +99,11 @@ class Topology:
     @classmethod
     def from_columns(cls, ids: list[str], tier, parent, capacity, uplink_us, uplink_mbps,
                      region: list) -> "Topology":
-        """A topology from columns in any node order; parent indexes that order, -1 for none."""
+        """A topology from columns in any node order.
+
+        parent indexes that order, -1 for none; region is each edge server's
+        region and None at other nodes.
+        """
         topo = cls.__new__(cls)
         topo._hold(ids, tier, parent, capacity, uplink_us, uplink_mbps, region)
         return topo
@@ -147,6 +151,7 @@ class Topology:
 
     @cached_property
     def node_index(self) -> dict[str, int]:
+        """The index of each node id, built on first use."""
         return {node_id: i for i, node_id in enumerate(self.node_ids)}
 
     def edge_of_region(self, region: tuple[int, int], owner: int = 0) -> int:

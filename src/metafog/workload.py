@@ -97,10 +97,9 @@ class Placement:
                                            [topo.cloud]])
         else:
             self._server = np.full(users + slots + 1, topo.cloud)
-        self._offset = np.array([0 if k in AVATAR_KINDS else users if k in REGION_KINDS
-                                 else users + slots for k in TaskKind])
         self._scope = np.array([0 if k in AVATAR_KINDS else 1 if k in REGION_KINDS else 2
                                 for k in TaskKind])
+        self._offset = np.array([0, users, users + slots]).take(self._scope)
         labels = [profiles[KIND_LABELS[k]] for k in TaskKind]
         self._up, self._down = (
             np.concatenate([topo.transfer_to_cloud_us(p[key]) for p in labels])

@@ -116,6 +116,32 @@ class TestBuildTopology:
         with pytest.raises(TopologyError, match="cloud"):
             Topology(nodes, [])
 
+    @pytest.mark.parametrize("fault, match", [
+        ("duplicate", "duplicate node id 'edge-a'"),
+        ("cloud_parent_field", "cloud node 'cloud' must have no parent"),
+        ("parent_field", "node 'fog': parent field 'edge-b' does not match link 'edge-a'"),
+        ("negative_delay", "link 'edge-a'-'cloud': bad parameters"),
+        ("zero_bandwidth", "link 'fog'-'edge-a': bad parameters"),
+    ])
+    def test_each_fault_names_its_node(self, fault, match):
+        nodes = [
+            NetworkNode("cloud", Tier.CLOUD_SERVER, 1_000,
+                        parent="edge-a" if fault == "cloud_parent_field" else None),
+            NetworkNode("edge-a", Tier.EDGE_SERVER, 1_000, (0, 0), "cloud"),
+            NetworkNode("edge-b", Tier.EDGE_SERVER, 1_000, (0, 0), "cloud"),
+            NetworkNode("fog", Tier.FOG_SERVER, 1_000, None,
+                        "edge-b" if fault == "parent_field" else "edge-a"),
+        ]
+        links = [
+            Link("edge-a", "cloud", -1 if fault == "negative_delay" else 1_000, 100),
+            Link("edge-b", "cloud", 1_000, 100),
+            Link("fog", "edge-a", 1_000, 0 if fault == "zero_bandwidth" else 100),
+        ]
+        if fault == "duplicate":
+            nodes.append(NetworkNode("edge-a", Tier.EDGE_SERVER, 1_000, (1, 1), "cloud"))
+        with pytest.raises(TopologyError, match=match):
+            Topology(nodes, links)
+
     def test_region_without_edge_server_fails_at_lookup(self):
         topo = minimal_chain()
         with pytest.raises(TopologyError, match="no edge server"):
