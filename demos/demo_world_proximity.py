@@ -4,14 +4,15 @@ Avatars, regions and proximity
 
 Avatars wander a 1000x1000 world under random-waypoint movement. A grid of
 cells at least as large as the proximity radius answers "who is near me" with
-a 3x3 cell scan; this demo cross-checks it against the obvious O(n^2) filter.
+a 3x3 cell scan; this demo cross-checks it against the obvious O(n^2) filter,
+and every avatar's region against the region of its position.
 A second grid, of world.cell cells, counts the avatars around each one: the
 collision-candidate counts that feed the collision-detection task length.
 """
 
 import math
 
-from metafog import RngStream, World, WorldGrid, region_of
+from metafog import RngStream, World, WorldGrid
 
 grid = WorldGrid(width=1000.0, height=1000.0, regions_x=10, regions_y=10, cell=40.0)
 radius = 30.0
@@ -27,9 +28,23 @@ for _ in range(10):
         if avatar.user in crossed:
             world.rebucket(avatar, *crossed[avatar.user])
 
+
+def region(x, y):
+    """The region a position lies in.
+
+    A border belongs to the higher region; the max edges of the world clamp
+    into the last one.
+    """
+    return (min(int(x / grid.region_width), grid.regions_x - 1),
+            min(int(y / grid.region_height), grid.regions_y - 1))
+
+
+# every avatar's region is the one its position lies in
+for avatar in world.avatars:
+    assert avatar.region == region(avatar.x, avatar.y)
 a = world.avatars[0]
-print(f"avatar 0 at ({a.x:7.2f}, {a.y:7.2f}), region {a.region} "
-      f"== region_of(pos): {region_of((a.x, a.y), grid)}")
+print(f"avatar 0 at ({a.x:7.2f}, {a.y:7.2f}), region {a.region}; "
+      f"all {len(world.avatars)} avatars sit in the region of their position")
 
 
 def brute_force(me):

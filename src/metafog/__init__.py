@@ -15,6 +15,6 @@ from .ledger import Chain, Transaction, verify_chain
 from .reporting import emit, parse_results_csv, plot_series, reduction_table
 from .stats import latency_reduction
 from .workload import Policy
-from .world import World, WorldGrid, region_of
+from .world import World, WorldGrid
 
 __version__ = "0.1.0"

@@ -54,7 +54,6 @@ def ceil_div(a: int, b: int) -> int:
 STREAM_MOVEMENT = "movement"
 STREAM_MESSAGING = "messaging"
 STREAM_TRANSACTIONS = "transactions"
-STREAM_SERVICE = "service"
 
 
 class RngStream:
@@ -195,25 +194,6 @@ class Engine:
     def queued_count(self) -> int:
         """Heap events plus the lane's pending firings, one per member."""
         return len(self._heap) + len(self._lane_offsets)
-
-    @property
-    def next_event(self) -> tuple | None:
-        """(fire_at_us, seq, kind, payload) of the queue head, or None.
-
-        A lane firing's payload is its member.
-        """
-        head = self._heap[0] if self._heap else None
-        offsets = self._lane_offsets
-        if offsets:
-            r, u = divmod(self._lane_next, len(offsets))
-            firing = (offsets[u] + r * self._lane_period, self._lane_seq[u], self._lane_kind, u)
-            if head is None or firing[:2] < head[:2]:
-                return firing
-        return head
-
-    def accounting_ok(self) -> bool:
-        """Liveness check: every scheduled event is dispatched or still queued."""
-        return self.scheduled_count == self.dispatched_count + self.queued_count
 
     def run_until(self, horizon_us: int) -> int:
         """Dispatch every event with fire_at <= horizon; clock ends at horizon.

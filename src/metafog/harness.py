@@ -498,14 +498,14 @@ class ScenarioRunner:
         per_kind = [np.sort(np.concatenate(parts)) if parts else np.empty(0, dtype=np.int64)
                     for parts in pipeline.totals]
         stats: dict[str, KindStats] = {"overall": _kind_stats(np.sort(np.concatenate(per_kind)))}
-        for kind in TaskKind:
-            stats[KIND_LABELS[kind]] = _kind_stats(per_kind[kind])
+        for label, totals in zip(KIND_LABELS, per_kind):
+            stats[label] = _kind_stats(totals)
         extras = {
             "tasks_generated": pipeline.tasks_generated,
             "records_emitted": pipeline.records_emitted,
             "in_flight_at_horizon": in_flight,
-            "generated_by_kind": {KIND_LABELS[k]: pipeline.generated[k] for k in TaskKind},
-            "completed_by_kind": {KIND_LABELS[k]: pipeline.completed[k] for k in TaskKind},
+            "generated_by_kind": dict(zip(KIND_LABELS, pipeline.generated)),
+            "completed_by_kind": dict(zip(KIND_LABELS, pipeline.completed)),
             "messages_sent": self.messages_sent,
             "messages_skipped_no_neighbor": self.messages_skipped,
             "tx_submitted": self.tx_submitted,

@@ -10,20 +10,13 @@ waiting time rather than loss.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from enum import IntEnum
 from typing import NamedTuple
 
 import numpy as np
 
-from .engine import (
-    STREAM_SERVICE,
-    STREAM_TRANSACTIONS,
-    RngStream,
-    ceil_div,
-    ms_to_us,
-)
+from .engine import ceil_div, ms_to_us
 from .errors import TopologyError
 
 
@@ -32,23 +25,6 @@ class Tier(IntEnum):
     FOG_SERVER = 1
     EDGE_SERVER = 2
     CLOUD_SERVER = 3
-
-
-@dataclass(frozen=True)
-class NetworkNode:
-    id: str
-    tier: Tier
-    capacity_mips: int
-    region: tuple[int, int] | None = None  # required for edge servers
-    parent: str | None = None  # None only for the cloud
-
-
-@dataclass(frozen=True)
-class Link:
-    child: str
-    parent: str
-    propagation_us: int
-    bandwidth_mbps: int
 
 
 class Topology:
@@ -61,55 +37,17 @@ class Topology:
     indexes of its edge servers in ascending order, which is the order of
     their ids as strings. cloud is the cloud's index and cloud_id its id.
 
-    Topology(nodes, links) validates a hand-built tree of NetworkNode and Link
-    objects; build_user_topology fills the columns straight from a config.
-    Both end in one column check, which raises TopologyError naming the
-    offending node: ids are unique, capacities positive, there is exactly one
-    cloud, it has no parent and every other node has one, one tier up, over a
-    link with a delay >= 0 and a bandwidth > 0, and every edge server carries
-    a region.
+    Topology(ids, tier, parent, capacity, uplink_us, uplink_mbps, region)
+    takes the columns in any node order: parent indexes that order, -1 for
+    none, and region is each edge server's region and None at other nodes.
+    It checks them and raises TopologyError naming the offending node: ids
+    are unique, capacities positive, there is exactly one cloud, it has no
+    parent and every other node has one, one tier up, over a link with a
+    delay >= 0 and a bandwidth > 0, and every edge server carries a region.
     """
 
-    def __init__(self, nodes: list[NetworkNode], links: list[Link]):
-        ids = [n.id for n in nodes]
-        index = {node_id: i for i, node_id in enumerate(ids)}
-        parent = [-1] * len(nodes)
-        delay = [0] * len(nodes)
-        mbps = [0] * len(nodes)
-        for link in links:
-            for end in (link.child, link.parent):
-                if end not in index:
-                    raise TopologyError(f"link references unknown node {end!r}")
-            child = index[link.child]
-            if parent[child] >= 0:
-                raise TopologyError(f"node {link.child!r} has two parents")
-            parent[child] = index[link.parent]
-            delay[child], mbps[child] = link.propagation_us, link.bandwidth_mbps
-        for n, up in zip(nodes, parent):
-            if n.parent is None:
-                continue
-            if n.tier == Tier.CLOUD_SERVER:
-                raise TopologyError(f"cloud node {n.id!r} must have no parent")
-            if up >= 0 and ids[up] != n.parent:
-                raise TopologyError(
-                    f"node {n.id!r}: parent field {n.parent!r} does not match link {ids[up]!r}")
-        self._hold(ids, [n.tier for n in nodes], parent, [n.capacity_mips for n in nodes],
-                   delay, mbps, [n.region for n in nodes])
-
-    @classmethod
-    def from_columns(cls, ids: list[str], tier, parent, capacity, uplink_us, uplink_mbps,
-                     region: list) -> "Topology":
-        """A topology from columns in any node order.
-
-        parent indexes that order, -1 for none; region is each edge server's
-        region and None at other nodes.
-        """
-        topo = cls.__new__(cls)
-        topo._hold(ids, tier, parent, capacity, uplink_us, uplink_mbps, region)
-        return topo
-
-    def _hold(self, ids, tier, parent, capacity, uplink_us, uplink_mbps, region) -> None:
-        """Check the columns and keep them sorted by node id."""
+    def __init__(self, ids: list[str], tier, parent, capacity, uplink_us, uplink_mbps,
+                 region: list):
         order = sorted(range(len(ids)), key=ids.__getitem__)
         self.node_ids = node_ids = [ids[i] for i in order]
         if len(set(node_ids)) < len(node_ids):
@@ -248,28 +186,6 @@ class LatencyRecord(NamedTuple):
     total_us: int
 
 
-def simulate_mm1(arrival_rate_per_ms: float, service_rate_per_ms: float,
-                 n_tasks: int, seed: int) -> dict:
-    """Drive one FIFO compute queue with Poisson arrivals and exponential service.
-
-    This is the queueing-theory validation harness: n_tasks interarrival
-    gaps and service times come from their own streams, the queue is
-    resolved by the same fifo_completions the scenarios use, and the
-    returned mean wait can be held against the analytic M/M/1 value
-    rho / (mu - lambda).
-    """
-    arrivals = RngStream(seed, STREAM_TRANSACTIONS)
-    services = RngStream(seed, STREAM_SERVICE)
-    arrival = np.cumsum([arrivals.exponential_us(arrival_rate_per_ms) for _ in range(n_tasks)],
-                        dtype=np.int64)
-    service = np.array([services.exponential_us(service_rate_per_ms) for _ in range(n_tasks)],
-                       dtype=np.int64)
-    completion = fifo_completions(np.zeros(n_tasks, dtype=np.int64), arrival, service,
-                                  np.zeros(1, dtype=np.int64))
-    wait_sum = int((completion - service - arrival).sum())
-    return {"tasks": n_tasks, "mean_wait_us": wait_sum / n_tasks}
-
-
 def build_user_topology(
     user_regions: list[tuple[int, int]],
     all_regions: list[tuple[int, int]],
@@ -330,6 +246,6 @@ def build_user_topology(
                              1 + n_edges + fog_of])
     region = [None, *(r for r in all_regions for _ in range(edges_per_region)),
               *[None] * (len(fog_ids) + len(device_ids))]
-    topo = Topology.from_columns(["cloud", *edge_ids, *fog_ids, *device_ids], tier, parent,
-                                 mips.take(tier), delay.take(tier), mbps.take(tier), region)
+    topo = Topology(["cloud", *edge_ids, *fog_ids, *device_ids], tier, parent, mips.take(tier),
+                    delay.take(tier), mbps.take(tier), region)
     return topo, device_ids, list(map(fog_ids.__getitem__, fog_of.tolist()))

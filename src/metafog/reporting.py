@@ -17,11 +17,11 @@ from pathlib import Path
 from .errors import ConfigError
 from .harness import KindStats, ScenarioResult, value_label
 from .stats import latency_reduction
-from .workload import KIND_LABEL_LIST
+from .workload import KIND_LABELS
 
 CSV_HEADER = "scenario,policy,param,value,replication,kind,count,mean_ms,p50_ms,p95_ms,p99_ms,seed,config_digest"
 
-_KIND_ROWS = ["overall"] + KIND_LABEL_LIST
+_KIND_ROWS = ("overall", *KIND_LABELS)
 
 
 def _us_to_ms_str(us: int | None) -> str:

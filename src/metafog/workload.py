@@ -31,15 +31,13 @@ class TaskKind(IntEnum):
     UNIVERSE_SIMULATION = 4
 
 
-KIND_LABELS = {
-    TaskKind.SPATIAL_NAVIGATION: "spatial_navigation",
-    TaskKind.COLLISION_DETECTION: "collision_detection",
-    TaskKind.SOCIAL_INTERACTION: "social_interaction",
-    TaskKind.TRANSACTION_VALIDATION: "transaction_validation",
-    TaskKind.UNIVERSE_SIMULATION: "universe_simulation",
-}
-
-KIND_LABEL_LIST = [KIND_LABELS[k] for k in TaskKind]
+KIND_LABELS = (  # indexed by TaskKind
+    "spatial_navigation",
+    "collision_detection",
+    "social_interaction",
+    "transaction_validation",
+    "universe_simulation",
+)
 AVATAR_KINDS = (TaskKind.SPATIAL_NAVIGATION, TaskKind.COLLISION_DETECTION)  # at the home fog
 REGION_KINDS = (TaskKind.SOCIAL_INTERACTION, TaskKind.TRANSACTION_VALIDATION)  # at a region edge
 
@@ -100,7 +98,7 @@ class Placement:
         self._scope = np.array([0 if k in AVATAR_KINDS else 1 if k in REGION_KINDS else 2
                                 for k in TaskKind])
         self._offset = np.array([0, users, users + slots]).take(self._scope)
-        labels = [profiles[KIND_LABELS[k]] for k in TaskKind]
+        labels = [profiles[label] for label in KIND_LABELS]
         self._up, self._down = (
             np.concatenate([topo.transfer_to_cloud_us(p[key]) for p in labels])
             for key in ("upload_bytes", "download_bytes"))

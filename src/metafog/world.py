@@ -62,24 +62,6 @@ class WorldGrid:
         return [(rx, ry) for rx in range(self.regions_x) for ry in range(self.regions_y)]
 
 
-def region_of(pos: tuple[float, float], grid: WorldGrid) -> tuple[int, int]:
-    """Region coordinates of a position.
-
-    Boundary points belong to the higher-index region, except the max edge of
-    the world, which clamps into the last region.
-    """
-    x, y = pos
-    if x < 0 or y < 0 or x > grid.width or y > grid.height:
-        raise SimulationError(f"position {pos} is out of world bounds")
-    rx = int(x / grid.region_width)
-    ry = int(y / grid.region_height)
-    if rx >= grid.regions_x:
-        rx = grid.regions_x - 1
-    if ry >= grid.regions_y:
-        ry = grid.regions_y - 1
-    return rx, ry
-
-
 @dataclass(slots=True, eq=False)
 class Avatar:
     user: int

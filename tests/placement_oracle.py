@@ -5,13 +5,49 @@ lookup. This module keeps the object-level forms they replace, written link
 by link: the tree as NetworkNode and Link objects, the scenario builder that
 made them, the unique tree path between two nodes, the transfer time over a
 route and the placement function. Tests hold the columns and the tables
-against them.
+against them, and build hand-made trees through topology_of.
 """
+
+from dataclasses import dataclass
 
 from metafog.engine import ceil_div, ms_to_us
 from metafog.errors import ConfigError, TopologyError
-from metafog.infrastructure import Link, NetworkNode, Tier, Topology
+from metafog.infrastructure import Tier, Topology
 from metafog.workload import AVATAR_KINDS, KIND_LABELS, REGION_KINDS, Policy, TaskKind
+
+
+@dataclass(frozen=True)
+class NetworkNode:
+    id: str
+    tier: Tier
+    capacity_mips: int
+    region: tuple[int, int] | None = None  # required for edge servers
+    parent: str | None = None  # None only for the cloud
+
+
+@dataclass(frozen=True)
+class Link:
+    child: str
+    parent: str
+    propagation_us: int
+    bandwidth_mbps: int
+
+
+def topology_of(nodes: list[NetworkNode], links: list[Link]) -> Topology:
+    """The Topology of a hand-built tree, in node order.
+
+    Each node's parent, delay and bandwidth come from the link whose child it
+    is; a node that no link names as child has no parent. The parent fields
+    of the nodes are not read.
+    """
+    index = {n.id: i for i, n in enumerate(nodes)}
+    parent, delay, mbps = [-1] * len(nodes), [0] * len(nodes), [0] * len(nodes)
+    for link in links:
+        child = index[link.child]
+        parent[child] = index[link.parent]
+        delay[child], mbps[child] = link.propagation_us, link.bandwidth_mbps
+    return Topology([n.id for n in nodes], [n.tier for n in nodes], parent,
+                    [n.capacity_mips for n in nodes], delay, mbps, [n.region for n in nodes])
 
 
 def reference_topology(user_regions: list[tuple[int, int]], all_regions: list[tuple[int, int]],
@@ -68,9 +104,10 @@ def reference_topology(user_regions: list[tuple[int, int]], all_regions: list[tu
 
 def nodes_by_id(topo: Topology) -> dict[str, NetworkNode]:
     """Every node of a topology as a NetworkNode, by id."""
-    region_of = {edge: region for region, edges in topo.edges_by_region.items() for edge in edges}
+    region_by_edge = {edge: region for region, edges in topo.edges_by_region.items()
+                      for edge in edges}
     return {node_id: NetworkNode(node_id, Tier(int(topo.tier[i])), int(topo.capacity[i]),
-                                 region_of.get(i),
+                                 region_by_edge.get(i),
                                  None if i == topo.cloud else topo.node_ids[topo.parent[i]])
             for i, node_id in enumerate(topo.node_ids)}
 

@@ -16,18 +16,14 @@ import pytest
 from metafog.config import resolve_config
 from metafog.engine import RngStream
 from metafog.harness import TaskPipeline, run_scenario, sweep
-from metafog.infrastructure import (
-    Link,
-    NetworkNode,
-    Tier,
-    Topology,
-    simulate_mm1,
-)
+from metafog.infrastructure import Tier
 from metafog.ledger import Chain, Transaction
 from metafog.reporting import emit
 from metafog.stats import latency_reduction
 from metafog.workload import Placement, Policy, TaskKind
 from metafog.world import World, WorldGrid
+from mm1_harness import simulate_mm1
+from placement_oracle import Link, NetworkNode, topology_of
 
 REPLICATIONS = 3
 SEEDS = tuple(42 + r for r in range(REPLICATIONS))
@@ -172,10 +168,10 @@ def test_criterion_5_hand_trace_oracle():
     """
     nodes = [
         NetworkNode("cloud", Tier.CLOUD_SERVER, 100_000),
-        NetworkNode("edge-0-0", Tier.EDGE_SERVER, 20_000, (0, 0), "cloud"),
-        NetworkNode("fog-0", Tier.FOG_SERVER, 4_000, None, "edge-0-0"),
-        NetworkNode("dev-0", Tier.END_DEVICE, 500, None, "fog-0"),
-        NetworkNode("dev-1", Tier.END_DEVICE, 500, None, "fog-0"),
+        NetworkNode("edge-0-0", Tier.EDGE_SERVER, 20_000, (0, 0)),
+        NetworkNode("fog-0", Tier.FOG_SERVER, 4_000),
+        NetworkNode("dev-0", Tier.END_DEVICE, 500),
+        NetworkNode("dev-1", Tier.END_DEVICE, 500),
     ]
     links = [
         Link("edge-0-0", "cloud", 30_000, 10_000),
@@ -183,7 +179,7 @@ def test_criterion_5_hand_trace_oracle():
         Link("dev-0", "fog-0", 2_000, 100),
         Link("dev-1", "fog-0", 2_000, 100),
     ]
-    topo = Topology(nodes, links)
+    topo = topology_of(nodes, links)
     profiles = {
         **resolve_config(None)["workload"]["profiles"],
         "spatial_navigation": {"length_mi": 50, "upload_bytes": 2_000, "download_bytes": 1_000},

@@ -1,7 +1,8 @@
 """Smoke test: every script under demos/ runs to completion.
 
 The demos are the README's worked examples, and demo_world_proximity.py also
-asserts the spatial hash against brute force after movement. Each runs in a
+asserts the spatial hash against brute force and every avatar's region
+against the region of its position after movement. Each runs in a
 subprocess from the repository root, with src/ on the import path.
 """
 

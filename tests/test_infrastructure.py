@@ -8,18 +8,19 @@ from hypothesis import strategies as st
 from metafog.config import resolve_config
 from metafog.errors import TopologyError
 from metafog.harness import TaskPipeline, run_scenario
-from metafog.infrastructure import (
+from metafog.infrastructure import Tier, build_user_topology, fifo_completions, service_time_us
+from metafog.workload import SYSTEM_OWNER, Placement, Policy, TaskKind
+from mm1_harness import simulate_mm1
+from placement_oracle import (
     Link,
     NetworkNode,
-    Tier,
-    Topology,
-    build_user_topology,
-    fifo_completions,
-    service_time_us,
-    simulate_mm1,
+    links,
+    nodes_by_id,
+    path,
+    reference_topology,
+    topology_of,
+    transfer_time,
 )
-from metafog.workload import SYSTEM_OWNER, Placement, Policy, TaskKind
-from placement_oracle import links, nodes_by_id, path, reference_topology, transfer_time
 
 # The hand computations' tiers: the default topology with a 4 000 MIPS fog
 # and a 30 ms edge-cloud link.
@@ -60,33 +61,15 @@ class TestBuildTopology:
         assert tiers.count(Tier.FOG_SERVER) == 4
         assert tiers.count(Tier.END_DEVICE) == 8
 
-    def test_device_with_two_parents_rejected(self):
-        topo = minimal_chain()
-        nodes = list(nodes_by_id(topo).values())
-        fog = next(n.id for n in nodes if n.tier == Tier.FOG_SERVER)
-        dev = next(n.id for n in nodes if n.tier == Tier.END_DEVICE)
-        extra_fog = NetworkNode("fog-extra", Tier.FOG_SERVER, 4_000, None, "edge-0-0")
-        extra_links = links(topo) + [
-            Link("fog-extra", "edge-0-0", 5_000, 1_000),
-            Link(dev, "fog-extra", 2_000, 100),
-        ]
-        with pytest.raises(TopologyError, match="two parents"):
-            Topology(nodes + [extra_fog], extra_links)
-
     def test_orphan_rejected_by_name(self):
         nodes = [
             NetworkNode("cloud", Tier.CLOUD_SERVER, 1_000),
-            NetworkNode("edge-0-0", Tier.EDGE_SERVER, 1_000, (0, 0), "cloud"),
+            NetworkNode("edge-0-0", Tier.EDGE_SERVER, 1_000, (0, 0)),
             NetworkNode("lonely-fog", Tier.FOG_SERVER, 1_000),
         ]
         links = [Link("edge-0-0", "cloud", 1_000, 100)]
         with pytest.raises(TopologyError, match="lonely-fog"):
-            Topology(nodes, links)
-
-    def test_link_to_unknown_node_rejected(self):
-        nodes = [NetworkNode("cloud", Tier.CLOUD_SERVER, 1_000)]
-        with pytest.raises(TopologyError, match="ghost"):
-            Topology(nodes, [Link("ghost", "cloud", 1_000, 100)])
+            topology_of(nodes, links)
 
     def test_non_adjacent_tier_link_rejected(self):
         nodes = [
@@ -94,19 +77,19 @@ class TestBuildTopology:
             NetworkNode("dev", Tier.END_DEVICE, 1_000),
         ]
         with pytest.raises(TopologyError, match="adjacent"):
-            Topology(nodes, [Link("dev", "cloud", 1_000, 100)])
+            topology_of(nodes, [Link("dev", "cloud", 1_000, 100)])
 
     def test_non_positive_capacity_rejected(self):
         with pytest.raises(TopologyError, match="capacity"):
-            Topology([NetworkNode("cloud", Tier.CLOUD_SERVER, 0)], [])
+            topology_of([NetworkNode("cloud", Tier.CLOUD_SERVER, 0)], [])
 
     def test_edge_without_region_rejected(self):
         nodes = [
             NetworkNode("cloud", Tier.CLOUD_SERVER, 1_000),
-            NetworkNode("edge", Tier.EDGE_SERVER, 1_000, None, "cloud"),
+            NetworkNode("edge", Tier.EDGE_SERVER, 1_000),
         ]
         with pytest.raises(TopologyError, match="region"):
-            Topology(nodes, [Link("edge", "cloud", 1_000, 100)])
+            topology_of(nodes, [Link("edge", "cloud", 1_000, 100)])
 
     def test_two_clouds_rejected(self):
         nodes = [
@@ -114,33 +97,32 @@ class TestBuildTopology:
             NetworkNode("cloud-b", Tier.CLOUD_SERVER, 1_000),
         ]
         with pytest.raises(TopologyError, match="cloud"):
-            Topology(nodes, [])
+            topology_of(nodes, [])
 
     @pytest.mark.parametrize("fault, match", [
         ("duplicate", "duplicate node id 'edge-a'"),
         ("cloud_parent_field", "cloud node 'cloud' must have no parent"),
-        ("parent_field", "node 'fog': parent field 'edge-b' does not match link 'edge-a'"),
         ("negative_delay", "link 'edge-a'-'cloud': bad parameters"),
         ("zero_bandwidth", "link 'fog'-'edge-a': bad parameters"),
     ])
     def test_each_fault_names_its_node(self, fault, match):
         nodes = [
-            NetworkNode("cloud", Tier.CLOUD_SERVER, 1_000,
-                        parent="edge-a" if fault == "cloud_parent_field" else None),
-            NetworkNode("edge-a", Tier.EDGE_SERVER, 1_000, (0, 0), "cloud"),
-            NetworkNode("edge-b", Tier.EDGE_SERVER, 1_000, (0, 0), "cloud"),
-            NetworkNode("fog", Tier.FOG_SERVER, 1_000, None,
-                        "edge-b" if fault == "parent_field" else "edge-a"),
+            NetworkNode("cloud", Tier.CLOUD_SERVER, 1_000),
+            NetworkNode("edge-a", Tier.EDGE_SERVER, 1_000, (0, 0)),
+            NetworkNode("edge-b", Tier.EDGE_SERVER, 1_000, (0, 0)),
+            NetworkNode("fog", Tier.FOG_SERVER, 1_000),
         ]
         links = [
             Link("edge-a", "cloud", -1 if fault == "negative_delay" else 1_000, 100),
             Link("edge-b", "cloud", 1_000, 100),
             Link("fog", "edge-a", 1_000, 0 if fault == "zero_bandwidth" else 100),
         ]
+        if fault == "cloud_parent_field":
+            links.append(Link("cloud", "edge-a", 1_000, 100))
         if fault == "duplicate":
-            nodes.append(NetworkNode("edge-a", Tier.EDGE_SERVER, 1_000, (1, 1), "cloud"))
+            nodes.append(NetworkNode("edge-a", Tier.EDGE_SERVER, 1_000, (1, 1)))
         with pytest.raises(TopologyError, match=match):
-            Topology(nodes, links)
+            topology_of(nodes, links)
 
     def test_region_without_edge_server_fails_at_lookup(self):
         topo = minimal_chain()
@@ -196,7 +178,7 @@ def assert_builder_matches_reference(homes, grid, topology):
     nodes, links_, ref_devices, ref_fogs = reference_topology(homes, grid, topology)
     expected = reference_columns(nodes, links_)
     assert columns(topo) == expected
-    assert columns(Topology(nodes, links_)) == expected
+    assert columns(topology_of(nodes, links_)) == expected
     assert (devices, fogs) == (ref_devices, ref_fogs)
     for payload in (0, 500, 1_000, 2_000):
         assert topo.transfer_to_cloud_us(payload).tolist() == \

@@ -14,9 +14,27 @@ from metafog.engine import US_PER_S, RngStream, ms_to_us
 from metafog.errors import ConfigError, SimulationError
 from metafog.harness import ScenarioRunner
 from metafog.workload import Policy
-from metafog.world import CellGrid, World, WorldGrid, region_of
+from metafog.world import CellGrid, World, WorldGrid
 
 GRID = WorldGrid(1000.0, 1000.0, 10, 10, 40.0)
+
+
+def region_of(pos: tuple[float, float], grid: WorldGrid) -> tuple[int, int]:
+    """The oracle for the region rule of World._place: region coordinates of a position.
+
+    Boundary points belong to the higher-index region, except the max edge of
+    the world, which clamps into the last region.
+    """
+    x, y = pos
+    if x < 0 or y < 0 or x > grid.width or y > grid.height:
+        raise SimulationError(f"position {pos} is out of world bounds")
+    rx = int(x / grid.region_width)
+    ry = int(y / grid.region_height)
+    if rx >= grid.regions_x:
+        rx = grid.regions_x - 1
+    if ry >= grid.regions_y:
+        ry = grid.regions_y - 1
+    return rx, ry
 
 
 @dataclass
@@ -100,6 +118,14 @@ class TestRegionOf:
             region_of((-0.1, 5.0), GRID)
         with pytest.raises(SimulationError):
             region_of((5.0, 1000.1), GRID)
+
+    def test_world_places_by_the_oracle(self):
+        # the origin, an interior point, region boundaries and the clamped max corner
+        points = [(0.0, 0.0), (250.0, 250.0), (100.0, 0.0), (0.0, 100.0), (1000.0, 1000.0)]
+        world = World(GRID, 1, 1.0, RngStream(1, "movement"), GRID.cell)
+        regions, _, _ = world._place(*np.array(points).T)
+        assert [world._regions[r] for r in regions.tolist()] == \
+            [region_of(pos, GRID) for pos in points] == [(0, 0), (2, 2), (1, 0), (0, 1), (9, 9)]
 
     def test_every_position_maps_to_exactly_one_region(self):
         rng = random.Random(3)
