@@ -18,32 +18,31 @@ grid = WorldGrid(width=1000.0, height=1000.0, regions_x=10, regions_y=10, cell=4
 radius = 30.0
 world = World(grid, n_users=60, speed=1.5, rng=RngStream(7, "movement"), radius=radius)
 
-# advance everyone a few simulated seconds: each round moves every avatar once,
-# and rebucket keeps the region and both grids current when an avatar crosses
-# a region or cell border
+# advance everyone a few simulated seconds: next_round computes a round that
+# moves every avatar once, and tick applies it, keeping each avatar's region
+# and both grids current, and returns each avatar's collision-candidate count
 for _ in range(10):
-    xs, ys, crossed = world.next_round(dt_s=1.0)
-    for avatar, x, y in zip(world.avatars, xs, ys):
-        avatar.x, avatar.y = x, y
-        if avatar.user in crossed:
-            world.rebucket(avatar, *crossed[avatar.user])
+    world.next_round(dt_s=1.0)
+    counts = world.tick(0, 60)
 
 
 def region(x, y):
-    """The region a position lies in.
+    """The index of the region a position lies in, rx * regions_y + ry.
 
     A border belongs to the higher region; the max edges of the world clamp
     into the last one.
     """
-    return (min(int(x / grid.region_width), grid.regions_x - 1),
-            min(int(y / grid.region_height), grid.regions_y - 1))
+    rx = min(int(x / grid.region_width), grid.regions_x - 1)
+    ry = min(int(y / grid.region_height), grid.regions_y - 1)
+    return rx * grid.regions_y + ry
 
 
 # every avatar's region is the one its position lies in
 for avatar in world.avatars:
     assert avatar.region == region(avatar.x, avatar.y)
 a = world.avatars[0]
-print(f"avatar 0 at ({a.x:7.2f}, {a.y:7.2f}), region {a.region}; "
+print(f"avatar 0 at ({a.x:7.2f}, {a.y:7.2f}), region {a.region} "
+      f"{divmod(a.region, grid.regions_y)}; "
       f"all {len(world.avatars)} avatars sit in the region of their position")
 
 
@@ -60,7 +59,7 @@ print(f"nearby within {radius} ({world.near_grid.side:.1f}-unit proximity cells)
       f"avatar {busiest.user} sees {sorted(world.nearby_users(busiest.user, radius))}, "
       f"as brute force does")
 
-counts = [world.collision_candidates(u) for u in range(60)]
+# the counts the last tick returned, one per avatar
 print(f"collision candidates: min {min(counts)}, max {max(counts)}, "
       f"mean {sum(counts) / len(counts):.2f}")
 print("collision-detection task length = base_mi + per_neighbor_mi * candidates")

@@ -330,7 +330,7 @@ class ScenarioRunner:
 
         regions = self.grid.all_regions()
         topo, devices, fogs = infra.build_user_topology(
-            self.world.regions_of_users(), regions, cfg["topology"])
+            [avatar.region for avatar in self.world.avatars], regions, cfg["topology"])
         self.topo = topo
         self.home_fog_of_user = fogs
 
@@ -351,9 +351,6 @@ class ScenarioRunner:
         self.messages_sent = 0
         self.messages_skipped = 0
         self.tx_submitted = 0
-        self._round_index = -1  # the movement round held in _round
-        self._round = None
-        self._regions_y = world_cfg["regions_y"]
         self._universe_period_us = ms_to_us(wl["profiles"]["universe_simulation"]["period_ms"])
         self._msg_rate_per_ms = wl["message_rate_per_user_per_s"] / 1000.0
         self._tx_rate_per_ms = wl["tx_rate_per_user_per_s"] / 1000.0
@@ -393,34 +390,24 @@ class ScenarioRunner:
     def _on_movement_tick(self, lo: int, hi: int) -> None:
         """Lane firings lo..hi-1: firing r * n + u is user u's tick in round r.
 
-        A round's positions are computed once, when its first tick comes due;
-        each tick then writes its avatar's position, rebuckets it if its region
-        or a cell changed and submits the navigation and collision tasks.
+        A round is computed once, when its first tick (user 0's) comes due;
+        the world applies each run of its ticks, and each tick submits its
+        navigation task and its collision task, sized by the candidate count.
         """
         world = self.world
-        avatars = world.avatars
-        cell_of = world._cell_of
-        nbsum = world._nbsum
         submit = self.pipeline.submit
         offsets = self._tick_offsets
         n = self.n_users
         r, u = divmod(lo, n)
         while lo < hi:
-            if r != self._round_index:
-                self._round = world.next_round(self.dt_s)
-                self._round_index = r
-            xs, ys, crossed = self._round
+            if u == 0:
+                world.next_round(self.dt_s)
             base = r * self.tick_us
             end = min(n, u + hi - lo)
-            for user in range(u, end):
-                avatar = avatars[user]
-                avatar.x = xs[user]
-                avatar.y = ys[user]
-                if user in crossed:
-                    world.rebucket(avatar, *crossed[user])
+            for user, candidates in enumerate(world.tick(u, end), u):
                 now = base + offsets[user]
                 submit(0, user, now)
-                submit(1, user, now, 0, nbsum[cell_of[user]] - 1)
+                submit(1, user, now, 0, candidates)
             lo += end - u
             r += 1
             u = 0
@@ -453,8 +440,7 @@ class ScenarioRunner:
 
     def _submit_region_task(self, kind: TaskKind, user: int, now: int,
                             tx: Transaction | None = None) -> None:
-        rx, ry = self.world.avatars[user].region
-        self.pipeline.submit(kind, user, now, rx * self._regions_y + ry, 0, tx)
+        self.pipeline.submit(kind, user, now, self.world.avatars[user].region, 0, tx)
 
     def _on_task_arrival(self, now: int, payload) -> None:
         # periodic universe-simulation task, originating at the cloud itself

@@ -187,19 +187,21 @@ class LatencyRecord(NamedTuple):
 
 
 def build_user_topology(
-    user_regions: list[tuple[int, int]],
+    user_regions: list[int],
     all_regions: list[tuple[int, int]],
     topology_cfg: dict,
 ) -> tuple[Topology, list[str], list[str]]:
     """Build the scenario topology for a concrete user population.
 
     topology_cfg is the validated "topology" section of a config: per-tier
-    capacities, per-hop links, edges_per_region and devices_per_fog. Every
-    user u gets device dev-u under a fog in their starting region; fogs are
-    created per region, devices_per_fog users each, and attach to the
-    region's edge servers round-robin in the order they were created. Every
-    region of the world grid gets its edge servers whether or not users start
-    there. The nodes are rows of columns, filled tier by tier from the config.
+    capacities, per-hop links, edges_per_region and devices_per_fog.
+    user_regions holds each user's starting region as an index into
+    all_regions, which names the regions. Every user u gets device dev-u
+    under a fog in their starting region; fogs are created per region,
+    devices_per_fog users each, and attach to the region's edge servers
+    round-robin in the order they were created. Every region of the world
+    grid gets its edge servers whether or not users start there. The nodes
+    are rows of columns, filled tier by tier from the config.
 
     Returns (topology, device_id_per_user, home_fog_per_user).
     """
@@ -221,9 +223,8 @@ def build_user_topology(
     by_rank = sorted(range(len(all_regions)), key=all_regions.__getitem__)
     rank = np.empty(len(all_regions), dtype=np.int64)
     rank[by_rank] = np.arange(len(all_regions))
-    at = {region: i for i, region in enumerate(all_regions)}
     # home: each user's starting region, as its rank in sorted region order
-    home = rank.take(np.array([at[region] for region in user_regions], dtype=np.int64))
+    home = rank.take(np.array(user_regions, dtype=np.int64))
     # A region's members, in user order, fill its fogs devices_per_fog at a time.
     members = np.bincount(home, minlength=len(all_regions))
     grouped = np.argsort(home, kind="stable")

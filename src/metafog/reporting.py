@@ -43,6 +43,14 @@ def _ms_str_to_us(text: str) -> int | None:
     return int(text.replace(".", ""))
 
 
+def _latency_us(text: str) -> int | None:
+    """A results.csv latency: empty, or above 0 ms, since every task takes 1 us or more."""
+    us = _ms_str_to_us(text)
+    if us is not None and us <= 0:
+        raise ConfigError(f"{text!r} is not a latency > 0")
+    return us
+
+
 def write_results_csv(results: list[ScenarioResult], path: str | Path) -> None:
     """One row per (scenario, kind), kinds with no records included with empty stats."""
     lines = [CSV_HEADER]
@@ -71,8 +79,8 @@ def _field(path, line: int, row: dict, column: str, parse=str):
     else:
         try:
             return parse(text)
-        except ValueError:
-            problem = f"cannot read {text!r}"
+        except ValueError as exc:
+            problem = str(exc) if isinstance(exc, ConfigError) else f"cannot read {text!r}"
     raise ConfigError(f"{path}: row {line}, column {column!r}: {problem}")
 
 
@@ -81,7 +89,7 @@ def parse_results_csv(path: str | Path) -> list[ScenarioResult]:
 
     A missing column, or a field that is missing or does not parse, is a
     ConfigError that names the file, the row (the header is row 1) and the
-    column.
+    column; so is a latency <= 0.
     """
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -110,13 +118,8 @@ def parse_results_csv(path: str | Path) -> list[ScenarioResult]:
                 stats={},
             )
             by_scenario[key] = result
-        result.stats[field("kind")] = KindStats(
-            field("count", int),
-            field("mean_ms", _ms_str_to_us),
-            field("p50_ms", _ms_str_to_us),
-            field("p95_ms", _ms_str_to_us),
-            field("p99_ms", _ms_str_to_us),
-        )
+        result.stats[field("kind")] = KindStats(field("count", int), *(
+            field(f"{stat}_ms", _latency_us) for stat in ("mean", "p50", "p95", "p99")))
     return list(by_scenario.values())
 
 

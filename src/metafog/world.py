@@ -13,8 +13,9 @@ grids over the map serve the neighbour queries, the linked-cell method
   avatars of a 3x3 block directly.
 
 A simulation run moves every avatar once per round, and World.next_round is
-the only code that moves one: it computes a whole round in numpy, and the
-caller applies it one avatar at a time as the avatars' ticks come due. The
+the only code that moves one: it computes a whole round in numpy, and
+World.tick applies a run of it, one avatar at a time in user order, as the
+avatars' ticks come due, returning each one's collision-candidate count. The
 tests keep a scalar one-avatar step as the oracle that rounds must equal.
 """
 
@@ -67,7 +68,7 @@ class Avatar:
     user: int
     x: float
     y: float
-    region: tuple[int, int]
+    region: int  # rx * regions_y + ry
 
 
 @dataclass(frozen=True)
@@ -115,14 +116,15 @@ class CellGrid:
 class Round(NamedTuple):
     """Each avatar's position after a round of ticks, by user, and its moves.
 
-    crossed maps each user whose region, count-grid cell or proximity-grid
-    cell differs from the round before (or from construction) to the three
-    of them after this round, the arguments of rebucket.
+    crossed maps each user whose region index, count-grid cell or
+    proximity-grid cell differs from the round before (or from construction)
+    to the three of them after this round, the arguments of rebucket, which
+    World.tick passes on as it applies the user's tick.
     """
 
     x: list[float]
     y: list[float]
-    crossed: dict[int, tuple[tuple[int, int], int, int]]
+    crossed: dict[int, tuple[int, int, int]]
 
 
 class World:
@@ -167,13 +169,13 @@ class World:
         # x, y, wx and wy of every avatar after the last round: positions and waypoints
         self._state: tuple[np.ndarray, ...] = tuple(draws.T.copy())
         self.speed = speed  # world units per second
-        self._regions = grid.all_regions()  # region index rx * regions_y + ry -> (rx, ry)
         x, y = self._state[:2]
         places = self._place(x, y)
         self._places = places  # region index and both cells after the last round
+        self._round: Round | None = None  # the round next_round computed last
         regions, cells, nears = places
         self.avatars = list(map(Avatar, range(n_users), x.tolist(), y.tolist(),
-                                map(self._regions.__getitem__, regions.tolist())))
+                                regions.tolist()))
         self._cell_of = cells.tolist()
         # _nbsum[c] is kept equal to the number of avatars in the 3x3 block
         # of count-grid cell c, so a collision-candidate query is one lookup.
@@ -183,8 +185,8 @@ class World:
         for avatar, p in zip(self.avatars, self._near_of):
             self._members[p].append(avatar)
 
-    def rebucket(self, avatar: Avatar, region: tuple[int, int], c: int, p: int) -> None:
-        """Move an avatar into a region, count-grid cell c and proximity-grid cell p.
+    def rebucket(self, avatar: Avatar, region: int, c: int, p: int) -> None:
+        """Move an avatar into region index region, count-grid cell c and proximity-grid cell p.
 
         Only the grid whose cell the avatar left changes.
         """
@@ -223,12 +225,11 @@ class World:
         it stops exactly on it and, unless the speed is 0, draws a fresh
         uniform waypoint (x then y) from the movement stream, in user order.
         A round starts where the round before it ended, the first one where
-        __init__ placed the avatars. When an avatar's tick comes due, the
-        caller writes its position and, if it is in crossed, calls rebucket
-        with its entry; once the round before is applied, crossed holds
-        exactly the avatars whose region or cells change.
-        tests/test_world.py keeps a scalar one-avatar step that every round
-        must equal, bit for bit and draw for draw.
+        __init__ placed the avatars. The world keeps the round for tick,
+        which applies it as the avatars' ticks come due; once the round
+        before is applied, crossed holds exactly the avatars whose region or
+        cells change. tests/test_world.py keeps a scalar one-avatar step that
+        every round must equal, bit for bit and draw for draw.
         """
         if dt_s <= 0:
             raise SimulationError("a movement round requires dt > 0")
@@ -258,10 +259,28 @@ class World:
         moved = np.flatnonzero(np.logical_or.reduce(
             [new != old for new, old in zip(places, self._places)]))
         self._places = places
-        regions, cells, nears = (column[moved].tolist() for column in places)
-        crossed = dict(zip(moved.tolist(), zip(map(self._regions.__getitem__, regions),
-                                               cells, nears)))
-        return Round(nx.tolist(), ny.tolist(), crossed)
+        crossed = dict(zip(moved.tolist(), zip(*(column[moved].tolist() for column in places))))
+        self._round = Round(nx.tolist(), ny.tolist(), crossed)
+        return self._round
+
+    def tick(self, lo: int, hi: int) -> list[int]:
+        """Apply the ticks of users lo..hi-1 of the last round, in order; return their counts.
+
+        A tick writes its avatar's position, rebuckets it if it is in crossed
+        and then counts its collision_candidates, which see every earlier tick.
+        """
+        xs, ys, crossed = self._round
+        avatars = self.avatars
+        candidates = self.collision_candidates
+        counts = []
+        for user in range(lo, hi):
+            avatar = avatars[user]
+            avatar.x = xs[user]
+            avatar.y = ys[user]
+            if user in crossed:
+                self.rebucket(avatar, *crossed[user])
+            counts.append(candidates(user))
+        return counts
 
     def collision_candidates(self, user: int) -> int:
         """Number of other avatars in the 3x3 block of the user's count-grid cell."""
@@ -271,13 +290,11 @@ class World:
         """The users within Euclidean distance radius, via a 3x3 cell scan.
 
         Returns a list of users, each once, in no promised order; the
-        querying user is excluded. The radius may not exceed the one the
-        world was built for, so that the scan covers the whole disc.
+        querying user is excluded. The radius must lie in [0, the radius the
+        world was built for], so that the scan covers the whole disc.
         """
-        if radius > self.radius:
-            raise ConfigError(
-                f"proximity radius {radius} exceeds the world's proximity radius {self.radius}"
-            )
+        if not 0 <= radius <= self.radius:  # NaN fails both comparisons
+            raise ConfigError(f"proximity radius {radius} is outside [0, {self.radius}]")
         me = self.avatars[user]
         x, y = me.x, me.y
         r2 = radius * radius
@@ -293,6 +310,3 @@ class World:
         # the scan finds the querying user itself at distance 0
         found.remove(user)
         return found
-
-    def regions_of_users(self) -> list[tuple[int, int]]:
-        return [a.region for a in self.avatars]

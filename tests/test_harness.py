@@ -649,6 +649,10 @@ class TestCli:
         ([CSV_HEADER, _ROW.replace("cloudonly", "cloud\udcffonly")], "not CSV text"),
         ([CSV_HEADER, _ROW, _ROW.replace("1.500", "1.5678")],
          "row 3, column 'mean_ms': cannot read '1.5678'"),
+        ([CSV_HEADER, _ROW.replace("1.500", "0.000")],
+         "row 2, column 'mean_ms': '0.000' is not a latency > 0"),
+        ([CSV_HEADER, _ROW, _ROW.replace("2.000,42", "-1.500,42")],
+         "row 3, column 'p99_ms': '-1.500' is not a latency > 0"),
     ])
     def test_malformed_results_csv_exits_2(self, lines, where, tmp_path, capsys):
         path = tmp_path / "results.csv"

@@ -41,7 +41,7 @@ PROFILES = {
 
 def minimal_chain():
     """One device under one fog under one edge under the cloud."""
-    return build_user_topology([(0, 0)], [(0, 0)], PARAMS)[0]
+    return build_user_topology([0], [(0, 0)], PARAMS)[0]
 
 
 class TestBuildTopology:
@@ -53,7 +53,7 @@ class TestBuildTopology:
     def test_regular_two_region_tree_has_fifteen_nodes(self):
         # cloud + 2 regions x (1 edge + 2 fogs + 4 devices) = 1 + 2*7
         regions = [(0, 0), (1, 0)]
-        topo, _, _ = build_user_topology([r for r in regions for _ in range(4)], regions,
+        topo, _, _ = build_user_topology([r for r in range(2) for _ in range(4)], regions,
                                          {**PARAMS, "devices_per_fog": 2})
         assert len(nodes_by_id(topo)) == 15
         tiers = [n.tier for n in nodes_by_id(topo).values()]
@@ -174,7 +174,8 @@ def reference_to_cloud_us(nodes, links, payload_bytes):
 
 
 def assert_builder_matches_reference(homes, grid, topology):
-    topo, devices, fogs = build_user_topology(homes, grid, topology)
+    """The builder, given each home as its index in grid, against the reference, given it as is."""
+    topo, devices, fogs = build_user_topology(list(map(grid.index, homes)), grid, topology)
     nodes, links_, ref_devices, ref_fogs = reference_topology(homes, grid, topology)
     expected = reference_columns(nodes, links_)
     assert columns(topo) == expected
@@ -218,7 +219,7 @@ class TestColumnBuilder:
         grid = [(0, 0), (0, 1), (1, 0), (1, 1)]
         homes = [(0, 1)] * 14 + [(1, 1)] * 3 + [(0, 0)]
         assert_builder_matches_reference(homes, grid, topology_cfg(edges, 1))
-        topo, _, _ = build_user_topology(homes, grid, topology_cfg(edges, 1))
+        topo, _, _ = build_user_topology(list(map(grid.index, homes)), grid, topology_cfg(edges, 1))
         edge_ids = [topo.node_ids[e] for e in topo.edges_by_region[(0, 1)]]
         assert edge_ids[:3] == ["edge-0-1-0", "edge-0-1-1", "edge-0-1-10"]
         assert edge_ids[-1] == "edge-0-1-9"
@@ -251,7 +252,7 @@ class TestPath:
 
     def test_sibling_path_goes_through_common_ancestor(self):
         # two users, one device per fog: two sibling fogs under the one edge
-        topo, _, _ = build_user_topology([(0, 0)] * 2, [(0, 0)], {**PARAMS, "devices_per_fog": 1})
+        topo, _, _ = build_user_topology([0] * 2, [(0, 0)], {**PARAMS, "devices_per_fog": 1})
         fogs = sorted(i for i, n in nodes_by_id(topo).items() if n.tier == Tier.FOG_SERVER)
         route = path(topo, fogs[0], fogs[1])
         assert len(route) == 2  # up to the edge, down to the sibling

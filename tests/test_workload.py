@@ -27,7 +27,7 @@ class TestPlacementTable:
         regions = [(0, 0), (1, 1)]
         topology = resolve_config({"topology": {
             "fog_mips": 4_000, "links": {"edge_cloud": {"propagation_ms": 30.0}}}})["topology"]
-        self.topo, _, fogs = build_user_topology(regions, regions, topology)
+        self.topo, _, fogs = build_user_topology([0, 1], regions, topology)
         self.fog = fogs[0]
 
     def place(self, kind, policy=Policy.FOG_EDGE, region=None):
@@ -78,7 +78,7 @@ class TestPlacementArrays:
                     "cloud_mips": 100_000, "edges_per_region": edges,
                     "devices_per_fog": devices_per_fog,
                     "links": dict(zip(("device_fog", "fog_edge", "edge_cloud"), links))}
-        topo, devices, fogs = build_user_topology(homes, grid, topology)
+        topo, devices, fogs = build_user_topology(list(map(grid.index, homes)), grid, topology)
         profiles = resolve_config(None)["workload"]["profiles"]
         owner_of = st.integers(0, len(homes) - 1)
         tasks = data.draw(st.lists(st.tuples(

@@ -78,7 +78,7 @@ def movement_tick(w: Walker, speed: float, dt_s: float, rng: RngStream,
 
 def walkers_of(world):
     """Scalar copies of a world's movement state, as the next round starts from it."""
-    return [Walker(*state, avatar.region)
+    return [Walker(*state, divmod(avatar.region, world.grid.regions_y))
             for *state, avatar in zip(*(s.tolist() for s in world._state), world.avatars)]
 
 
@@ -87,17 +87,16 @@ def oracle_tick(world, walkers, user, dt_s):
     w = movement_tick(walkers[user], world.speed, dt_s, world.rng, world.grid)
     avatar = world.avatars[user]
     avatar.x, avatar.y = w.x, w.y
-    world.rebucket(avatar, w.region, brute_force_index(world.count_grid, avatar),
+    rx, ry = w.region
+    world.rebucket(avatar, rx * world.grid.regions_y + ry,
+                   brute_force_index(world.count_grid, avatar),
                    brute_force_index(world.near_grid, avatar))
 
 
 def apply_round(world, dt_s):
-    """Move every avatar by one round, written in user order and rebucketed on a crossing."""
-    xs, ys, crossed = world.next_round(dt_s)
-    for avatar, x, y in zip(world.avatars, xs, ys):
-        avatar.x, avatar.y = x, y
-        if avatar.user in crossed:
-            world.rebucket(avatar, *crossed[avatar.user])
+    """Move every avatar by one round: next_round, then every tick applied by the world."""
+    world.next_round(dt_s)
+    world.tick(0, len(world.avatars))
 
 
 class TestRegionOf:
@@ -124,7 +123,7 @@ class TestRegionOf:
         points = [(0.0, 0.0), (250.0, 250.0), (100.0, 0.0), (0.0, 100.0), (1000.0, 1000.0)]
         world = World(GRID, 1, 1.0, RngStream(1, "movement"), GRID.cell)
         regions, _, _ = world._place(*np.array(points).T)
-        assert [world._regions[r] for r in regions.tolist()] == \
+        assert [divmod(r, GRID.regions_y) for r in regions.tolist()] == \
             [region_of(pos, GRID) for pos in points] == [(0, 0), (2, 2), (1, 0), (0, 1), (9, 9)]
 
     def test_every_position_maps_to_exactly_one_region(self):
@@ -228,6 +227,14 @@ class TestProximityQueries:
         world.nearby_users(0, 10.0)
         with pytest.raises(ConfigError, match="10.5"):
             world.nearby_users(0, 10.5)
+
+    @pytest.mark.parametrize("radius, shown", [(-30.0, "-30.0"), (math.nan, "nan")])
+    def test_a_negative_or_nan_radius_is_rejected(self, radius, shown):
+        # a negative radius squares to a positive one; NaN finds no one, not even the user
+        world = World(GRID, 50, 1.5, RngStream(0, "movement"), 30.0)
+        assert world.nearby_users(0, 0.0) == []
+        with pytest.raises(ConfigError, match=f"proximity radius {shown} is outside"):
+            world.nearby_users(0, radius)
 
     def test_proximity_cells_follow_the_radius(self):
         # 1000 avatars on 625 count cells: too sparse for a finer grid
@@ -402,7 +409,8 @@ class TestContainmentInvariant:
             for avatar in world.avatars:
                 assert 0 <= avatar.x <= GRID.width
                 assert 0 <= avatar.y <= GRID.height
-                assert avatar.region == region_of((avatar.x, avatar.y), GRID)
+                assert divmod(avatar.region, GRID.regions_y) == \
+                    region_of((avatar.x, avatar.y), GRID)
 
 
 def test_construction_draws_each_position_then_waypoint():
@@ -410,7 +418,8 @@ def test_construction_draws_each_position_then_waypoint():
     rng = RngStream(21, "movement")
     for user, avatar in enumerate(world.avatars):
         x, y, wx, wy = (rng.random() * 1000 for _ in range(4))
-        assert (avatar.x, avatar.y, avatar.region) == (x, y, region_of((x, y), GRID))
+        assert (avatar.x, avatar.y, divmod(avatar.region, GRID.regions_y)) == \
+            (x, y, region_of((x, y), GRID))
         assert [s[user] for s in world._state] == [x, y, wx, wy]
         assert world._cell_of[user] == brute_force_index(world.count_grid, avatar)
         assert world._near_of[user] == brute_force_index(world.near_grid, avatar)
@@ -509,7 +518,7 @@ class TestMovementRounds:
         """A one-avatar round: positions, then region and cells after it, crossed or not."""
         region, c, p = round_.crossed.get(
             0, (world.avatars[0].region, world._cell_of[0], world._near_of[0]))
-        return round_.x, round_.y, region, c, p
+        return round_.x, round_.y, divmod(region, world.grid.regions_y), c, p
 
     def test_crossed_holds_a_change_of_region_or_either_cell_and_rebucket_moves_only_that(self):
         # 36 avatars on 60 x 60: 10-unit proximity cells inside 40-unit count cells,
@@ -527,18 +536,18 @@ class TestMovementRounds:
         # cross a region border only
         place((5.0, 5.0), (15.0, 5.0), (45.0, 5.0), (16.0, 5.0))
         nbsum = list(world._nbsum)
-        xs, ys, crossed = world.next_round(1.0)
+        crossed = world.next_round(1.0).crossed
         count, near = world.count_grid, world.near_grid
-        assert crossed == {1: ((1, 0), cell_index(count, 0, 0), cell_index(near, 1, 0)),
-                           2: ((3, 0), cell_index(count, 1, 0), cell_index(near, 4, 0)),
-                           3: ((1, 0), cell_index(count, 0, 0), cell_index(near, 1, 0))}
-        for avatar, x, y in zip(world.avatars, xs, ys):
-            avatar.x, avatar.y = x, y
-            if avatar.user in crossed:
-                world.rebucket(avatar, *crossed[avatar.user])
-            if avatar.user == 1:
-                assert world._nbsum == nbsum  # the count grid did not change
-        assert [a.region for a in world.avatars[:4]] == [(0, 0), (1, 0), (3, 0), (1, 0)]
+        regions_y = world.grid.regions_y
+        assert {u: (divmod(r, regions_y), c, p) for u, (r, c, p) in crossed.items()} == {
+            1: ((1, 0), cell_index(count, 0, 0), cell_index(near, 1, 0)),
+            2: ((3, 0), cell_index(count, 1, 0), cell_index(near, 4, 0)),
+            3: ((1, 0), cell_index(count, 0, 0), cell_index(near, 1, 0))}
+        world.tick(0, 2)
+        assert world._nbsum == nbsum  # user 1's tick left the count grid as it was
+        world.tick(2, 36)
+        assert [divmod(a.region, regions_y) for a in world.avatars[:4]] == \
+            [(0, 0), (1, 0), (3, 0), (1, 0)]
         check_grids(world)
 
     def test_round_refuses_non_positive_dt(self):
