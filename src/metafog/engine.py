@@ -76,6 +76,11 @@ class RngStream:
         """Uniform float in [0, 1)."""
         return self._rng.random()
 
+    def uniforms(self, n: int) -> list[float]:
+        """n uniform floats in [0, 1), the next n draws of random() in order."""
+        draw = self._rng.random
+        return [draw() for _ in range(n)]
+
     def randrange(self, n: int) -> int:
         """Uniform integer in [0, n)."""
         return self._rng.randrange(n)

@@ -328,9 +328,10 @@ class ScenarioRunner:
         self.world = World(self.grid, self.n_users, world_cfg["avatar_speed"],
                            self.streams[STREAM_MOVEMENT], self.radius)
 
-        regions = self.grid.all_regions()
+        grid = self.grid
         topo, devices, fogs = infra.build_user_topology(
-            [avatar.region for avatar in self.world.avatars], regions, cfg["topology"])
+            [avatar.region for avatar in self.world.avatars], grid.regions_x, grid.regions_y,
+            cfg["topology"])
         self.topo = topo
         self.home_fog_of_user = fogs
 
@@ -338,7 +339,8 @@ class ScenarioRunner:
         self.pipelines: dict[Policy, TaskPipeline] = {}
         self.chains: dict[Policy, Chain] = {}
         for pol in self.policies:
-            placement = Placement(pol, topo, wl["profiles"], devices, regions)
+            placement = Placement(pol, topo, wl["profiles"], devices,
+                                  grid.regions_x * grid.regions_y)
             pipeline = self.pipelines[pol] = TaskPipeline(placement, self.warmup_us, record_sink)
             chain = self.chains[pol] = Chain()
             pipeline.on_validated = partial(self._tx_validated, chain)
@@ -598,8 +600,9 @@ def sweep(config: dict | None, param: str, values: list | None = None,
     ordered by (value, policy, replication) no matter how execution was
     scheduled, and a parallel run returns exactly what a serial run returns.
     A scenario that fails raises an error naming its value, replication and
-    seed; a ConfigError stays a ConfigError. A value given twice is refused
-    before any scenario runs.
+    seed; a ConfigError stays a ConfigError. A value given twice, a
+    user_count that is not an integer and a tx_rate that is not > 0 are
+    refused before any scenario runs.
     """
     cfg = resolve_config(config)
     exp = cfg["experiment"]
@@ -614,6 +617,10 @@ def sweep(config: dict | None, param: str, values: list | None = None,
     for i, value in enumerate(values):
         if value in values[:i]:
             raise ConfigError(f"sweep values: {value_label(value)} is given more than once")
+        if param == "user_count" and value % 1 != 0:
+            raise ConfigError(f"sweep values: user_count {value_label(value)} is not an integer")
+        if param == "tx_rate" and not value > 0:
+            raise ConfigError(f"sweep values: tx_rate {value_label(value)} is not > 0")
 
     jobs = [(_scenario_overrides(cfg, param, value), exp["base_seed"] + rep, param, value, rep)
             for value in values for rep in range(replications)]

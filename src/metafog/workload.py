@@ -1,7 +1,7 @@
 """Metaverse task taxonomy and the placement policies under comparison.
 
-Placement is a pure function: given a task's kind, its owner's region at
-creation time, the owner's position in the topology tree and the active
+Placement is a pure function: given a task's kind, its owner's region index
+at creation time, the owner's device row in the topology and the active
 policy, it always returns the same node. CloudOnly sends everything to the
 cloud; FogEdge keeps avatar tasks at the owner's home fog, social and
 transaction-validation tasks at the edge server of the region where the
@@ -17,7 +17,7 @@ from enum import Enum, IntEnum
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, TopologyError
 from .infrastructure import Topology, service_time_us
 
 SYSTEM_OWNER = -1  # owner of world-level tasks (universe simulation)
@@ -59,13 +59,14 @@ class Policy(str, Enum):
 class Placement:
     """Server, transfers and service time of every task under one policy, as arrays.
 
-    Built at set-up from the topology's columns. Each owner's device is
-    looked up once; its home fog and that fog's edge are the device's parent
-    and grandparent. There is one server table for the avatar kinds, indexed
-    by the owner: its home fog under FogEdge. One for the region-bound kinds,
-    indexed by (region, owner mod the edges of a region): the region's edge
-    servers round-robin in id order under FogEdge. And one entry, the cloud,
-    for universe simulation. CloudOnly puts the cloud in every entry.
+    Built at set-up from the topology's columns and each owner's device
+    index; its home fog and that fog's edge are the device's parent and
+    grandparent. There is one server table for the avatar kinds, indexed by
+    the owner: its home fog under FogEdge. One for the region-bound kinds,
+    indexed by (region index, owner mod the edges of a region): under
+    FogEdge, each of the n_regions regions' edge servers round-robin in id
+    order. And one entry, the cloud, for universe simulation. CloudOnly puts
+    the cloud in every entry.
 
     Every server is on the owner's path to the cloud, or is an edge or the
     cloud, so a transfer is the difference of two per-node costs to the cloud
@@ -76,21 +77,25 @@ class Placement:
     and take for every lookup.
     """
 
-    def __init__(self, policy: Policy, topo: Topology, profiles: dict,
-                 device_of_user: list[str], regions: list[tuple[int, int]]):
+    def __init__(self, policy: Policy, topo: Topology, profiles: dict, device_of_user,
+                 n_regions: int):
         self.policy = policy
         self.node_ids = topo.node_ids
         self.capacity = topo.capacity
         # Per owner: its device and the two nodes above it; the last entry
         # stands for SYSTEM_OWNER (index -1), whose tasks start at the cloud.
-        index = topo.node_index
-        self._device = np.array([*map(index.__getitem__, device_of_user), topo.cloud])
+        self._device = np.array([*device_of_user, topo.cloud], dtype=np.int64)
         self._above = topo.parent.take(self._device)
         self._above2 = topo.parent.take(self._above)
         self._k = math.lcm(*map(len, topo.edges_by_region.values()))
-        users, slots = len(device_of_user), len(regions) * self._k
+        users, slots = len(device_of_user), n_regions * self._k
         if policy is Policy.FOG_EDGE:
-            by_region = [topo.edge_of_region(r, j) for r in regions for j in range(self._k)]
+            by_region = []
+            for r in range(n_regions):
+                edges = topo.edges_by_region.get(r)
+                if edges is None:
+                    raise TopologyError(f"region {r} has no edge server")
+                by_region += edges * (self._k // len(edges))  # slot j: edges[j % len(edges)]
             self._server = np.concatenate([self._above[:users], np.array(by_region, dtype=np.int64),
                                            [topo.cloud]])
         else:

@@ -59,9 +59,6 @@ class WorldGrid:
     def region_height(self) -> float:
         return self.height / self.regions_y
 
-    def all_regions(self) -> list[tuple[int, int]]:
-        return [(rx, ry) for rx in range(self.regions_x) for ry in range(self.regions_y)]
-
 
 @dataclass(slots=True, eq=False)
 class Avatar:
@@ -164,7 +161,7 @@ class World:
             while near.nx * near.ny > _MAX_COUNT:
                 near = CellGrid.over(grid, 2 * near.side)
         self.near_grid = count if near == count else near
-        draws = np.array([rng.random() for _ in range(4 * n_users)]).reshape(-1, 4)
+        draws = np.array(rng.uniforms(4 * n_users)).reshape(-1, 4)
         draws *= (grid.width, grid.height, grid.width, grid.height)
         # x, y, wx and wy of every avatar after the last round: positions and waypoints
         self._state: tuple[np.ndarray, ...] = tuple(draws.T.copy())
@@ -246,8 +243,7 @@ class World:
         ny[move] = y[move] + (dy[move] / dist[move]) * step
         redraw = np.flatnonzero(~move)
         if redraw.size and step > 0.0:
-            draw = self.rng.random
-            xy = np.array([draw() for _ in range(2 * redraw.size)]).reshape(-1, 2)
+            xy = np.array(self.rng.uniforms(2 * redraw.size)).reshape(-1, 2)
             wx = wx.copy()
             wy = wy.copy()
             wx[redraw] = xy[:, 0] * grid.width

@@ -21,7 +21,7 @@ class NetworkNode:
     id: str
     tier: Tier
     capacity_mips: int
-    region: tuple[int, int] | None = None  # required for edge servers
+    region: int | None = None  # the region index, required for edge servers
     parent: str | None = None  # None only for the cloud
 
 
@@ -38,7 +38,7 @@ def topology_of(nodes: list[NetworkNode], links: list[Link]) -> Topology:
 
     Each node's parent, delay and bandwidth come from the link whose child it
     is; a node that no link names as child has no parent. The parent fields
-    of the nodes are not read.
+    of the nodes are not read, and a region of None is passed as -1.
     """
     index = {n.id: i for i, n in enumerate(nodes)}
     parent, delay, mbps = [-1] * len(nodes), [0] * len(nodes), [0] * len(nodes)
@@ -47,17 +47,19 @@ def topology_of(nodes: list[NetworkNode], links: list[Link]) -> Topology:
         parent[child] = index[link.parent]
         delay[child], mbps[child] = link.propagation_us, link.bandwidth_mbps
     return Topology([n.id for n in nodes], [n.tier for n in nodes], parent,
-                    [n.capacity_mips for n in nodes], delay, mbps, [n.region for n in nodes])
+                    [n.capacity_mips for n in nodes], delay, mbps,
+                    [-1 if n.region is None else n.region for n in nodes])
 
 
-def reference_topology(user_regions: list[tuple[int, int]], all_regions: list[tuple[int, int]],
+def reference_topology(user_regions: list[int], regions_x: int, regions_y: int,
                        topology_cfg: dict) -> tuple[list[NetworkNode], list[Link], list[str],
                                                     list[str]]:
     """The scenario tree as objects: (nodes, links, device_id_per_user, home_fog_per_user).
 
-    Every region gets its edge servers; users are grouped into fogs per
-    region, in region order, and a region's fogs attach to its edges
-    round-robin in the order the edges were created.
+    Region (rx, ry) has index rx * regions_y + ry, and user_regions holds
+    each user's region index. Every region gets its edge servers; users are
+    grouped into fogs per region, in region order, and a region's fogs
+    attach to its edges round-robin in the order the edges were created.
     """
     edges_per_region = topology_cfg["edges_per_region"]
     devices_per_fog = topology_cfg["devices_per_fog"]
@@ -69,17 +71,18 @@ def reference_topology(user_regions: list[tuple[int, int]], all_regions: list[tu
         for hop in ("device_fog", "fog_edge", "edge_cloud"))
     nodes = [NetworkNode("cloud", Tier.CLOUD_SERVER, cloud_mips)]
     links: list[Link] = []
-    edge_ids: dict[tuple[int, int], list[str]] = {}
-    for rx, ry in all_regions:
+    edge_ids: dict[int, list[str]] = {}
+    for region in range(regions_x * regions_y):
+        rx, ry = divmod(region, regions_y)
         ids = []
         for k in range(edges_per_region):
             edge_id = f"edge-{rx}-{ry}" if edges_per_region == 1 else f"edge-{rx}-{ry}-{k}"
-            nodes.append(NetworkNode(edge_id, Tier.EDGE_SERVER, edge_mips, (rx, ry), "cloud"))
+            nodes.append(NetworkNode(edge_id, Tier.EDGE_SERVER, edge_mips, region, "cloud"))
             links.append(Link(edge_id, "cloud", *edge_cloud))
             ids.append(edge_id)
-        edge_ids[(rx, ry)] = ids
+        edge_ids[region] = ids
 
-    users_in_region: dict[tuple[int, int], list[int]] = {}
+    users_in_region: dict[int, list[int]] = {}
     for user, region in enumerate(user_regions):
         users_in_region.setdefault(region, []).append(user)
 
@@ -88,8 +91,9 @@ def reference_topology(user_regions: list[tuple[int, int]], all_regions: list[tu
     for region in sorted(users_in_region):
         members = users_in_region[region]
         edges = edge_ids[region]
+        rx, ry = divmod(region, regions_y)
         for i in range(ceil_div(len(members), devices_per_fog)):
-            fog_id = f"fog-{region[0]}-{region[1]}-{i}"
+            fog_id = f"fog-{rx}-{ry}-{i}"
             parent_edge = edges[i % len(edges)]
             nodes.append(NetworkNode(fog_id, Tier.FOG_SERVER, fog_mips, None, parent_edge))
             links.append(Link(fog_id, parent_edge, *fog_edge))
@@ -125,9 +129,10 @@ def links(topo: Topology) -> list[Link]:
 
 def _chain(topo: Topology, node_id: str) -> list[int]:
     """The node's index and those of every node above it, the cloud last."""
-    if node_id not in topo.node_index:
+    index = {n: i for i, n in enumerate(topo.node_ids)}
+    if node_id not in index:
         raise TopologyError(f"unknown node id {node_id!r}")
-    chain = [topo.node_index[node_id]]
+    chain = [index[node_id]]
     while chain[-1] != topo.cloud:
         chain.append(int(topo.parent[chain[-1]]))
     return chain
@@ -159,15 +164,17 @@ def transfer_time(payload_bytes: int, route) -> int:
 
 
 def place(kind: TaskKind, policy: Policy, topo: Topology, home_fog: str | None = None,
-          region: tuple[int, int] | None = None, owner: int = 0) -> str:
+          region: int | None = None, owner: int = 0) -> str:
     """Node that executes a task of this kind under the given policy.
 
     home_fog is the owner's home fog id, required under FogEdge for avatar
-    tasks. Region-bound kinds use an edge server of region, the owner's
-    region when the task was created; owner spreads them when it has several.
+    tasks. Region-bound kinds use an edge server of region, the index of the
+    owner's region when the task was created; owner spreads them round-robin
+    in id order when it has several.
     """
+    cloud_id = topo.node_ids[topo.cloud]
     if policy is Policy.CLOUD_ONLY:
-        return topo.cloud_id
+        return cloud_id
     if kind in AVATAR_KINDS:
         if home_fog is None:
             raise ConfigError(f"{KIND_LABELS[kind]} task of owner {owner} has no home fog")
@@ -175,5 +182,8 @@ def place(kind: TaskKind, policy: Policy, topo: Topology, home_fog: str | None =
     if kind in REGION_KINDS:
         if region is None:
             raise ConfigError(f"{KIND_LABELS[kind]} task carries no region")
-        return topo.node_ids[topo.edge_of_region(region, owner)]
-    return topo.cloud_id  # universe simulation
+        edges = sorted(n.id for n in nodes_by_id(topo).values() if n.region == region)
+        if not edges:
+            raise TopologyError(f"region {region} has no edge server")
+        return edges[owner % len(edges)]
+    return cloud_id  # universe simulation

@@ -168,7 +168,7 @@ def test_criterion_5_hand_trace_oracle():
     """
     nodes = [
         NetworkNode("cloud", Tier.CLOUD_SERVER, 100_000),
-        NetworkNode("edge-0-0", Tier.EDGE_SERVER, 20_000, (0, 0)),
+        NetworkNode("edge-0-0", Tier.EDGE_SERVER, 20_000, 0),
         NetworkNode("fog-0", Tier.FOG_SERVER, 4_000),
         NetworkNode("dev-0", Tier.END_DEVICE, 500),
         NetworkNode("dev-1", Tier.END_DEVICE, 500),
@@ -185,7 +185,8 @@ def test_criterion_5_hand_trace_oracle():
         "spatial_navigation": {"length_mi": 50, "upload_bytes": 2_000, "download_bytes": 1_000},
         "social_interaction": {"length_mi": 30, "upload_bytes": 1_000, "download_bytes": 1_000},
     }
-    placement = Placement(Policy.FOG_EDGE, topo, profiles, ["dev-0", "dev-1"], [(0, 0)])
+    devices = [topo.node_ids.index("dev-0"), topo.node_ids.index("dev-1")]
+    placement = Placement(Policy.FOG_EDGE, topo, profiles, devices, 1)
     records = []
     pipeline = TaskPipeline(placement, record_sink=records.append)
     pipeline.submit(TaskKind.SPATIAL_NAVIGATION, 0, 0)  # task ids are submit indexes

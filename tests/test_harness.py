@@ -401,6 +401,17 @@ class TestSweep:
         with pytest.raises(ConfigError, match="^sweep values: [42] is given more than once$"):
             sweep(SMALL, param, values, replications=1)
 
+    @pytest.mark.parametrize("param, values, message", [
+        ("user_count", [4, 2.5], "user_count 2.5 is not an integer"),
+        ("tx_rate", [1, 0], "tx_rate 0 is not > 0"),
+        ("tx_rate", [float("nan")], "tx_rate nan is not > 0"),
+    ])
+    def test_a_value_its_parameter_cannot_take_is_refused_before_any_scenario_runs(
+            self, param, values, message, monkeypatch):
+        monkeypatch.setattr(ScenarioRunner, "run", None)  # any run would raise TypeError
+        with pytest.raises(ConfigError, match=f"^sweep values: {message}$"):
+            sweep(SMALL, param, values, replications=1)
+
     @pytest.mark.parametrize("parallel", [False, True])
     def test_a_failing_scenario_is_named_and_stays_a_config_error(self, parallel):
         # user_count 0 is refused by the config check inside the worker
@@ -628,6 +639,8 @@ class TestCli:
         ("tx_rate", "1,x", "'x'"),
         # refused by harness.sweep, after parsing and before any scenario runs
         ("user_count", "4,4", "sweep values: 4 is given more than once"),
+        ("user_count", "2.5", "'2.5'"),
+        ("tx_rate", "0", "sweep values: tx_rate 0 is not > 0"),
     ])
     def test_bad_sweep_values_exit_2(self, param, values, bad, cfg_file, tmp_path, capsys):
         out = tmp_path / "x"

@@ -41,7 +41,7 @@ PROFILES = {
 
 def minimal_chain():
     """One device under one fog under one edge under the cloud."""
-    return build_user_topology([0], [(0, 0)], PARAMS)[0]
+    return build_user_topology([0], 1, 1, PARAMS)[0]
 
 
 class TestBuildTopology:
@@ -52,8 +52,7 @@ class TestBuildTopology:
 
     def test_regular_two_region_tree_has_fifteen_nodes(self):
         # cloud + 2 regions x (1 edge + 2 fogs + 4 devices) = 1 + 2*7
-        regions = [(0, 0), (1, 0)]
-        topo, _, _ = build_user_topology([r for r in range(2) for _ in range(4)], regions,
+        topo, _, _ = build_user_topology([r for r in range(2) for _ in range(4)], 2, 1,
                                          {**PARAMS, "devices_per_fog": 2})
         assert len(nodes_by_id(topo)) == 15
         tiers = [n.tier for n in nodes_by_id(topo).values()]
@@ -64,7 +63,7 @@ class TestBuildTopology:
     def test_orphan_rejected_by_name(self):
         nodes = [
             NetworkNode("cloud", Tier.CLOUD_SERVER, 1_000),
-            NetworkNode("edge-0-0", Tier.EDGE_SERVER, 1_000, (0, 0)),
+            NetworkNode("edge-0-0", Tier.EDGE_SERVER, 1_000, 0),
             NetworkNode("lonely-fog", Tier.FOG_SERVER, 1_000),
         ]
         links = [Link("edge-0-0", "cloud", 1_000, 100)]
@@ -108,8 +107,8 @@ class TestBuildTopology:
     def test_each_fault_names_its_node(self, fault, match):
         nodes = [
             NetworkNode("cloud", Tier.CLOUD_SERVER, 1_000),
-            NetworkNode("edge-a", Tier.EDGE_SERVER, 1_000, (0, 0)),
-            NetworkNode("edge-b", Tier.EDGE_SERVER, 1_000, (0, 0)),
+            NetworkNode("edge-a", Tier.EDGE_SERVER, 1_000, 0),
+            NetworkNode("edge-b", Tier.EDGE_SERVER, 1_000, 0),
             NetworkNode("fog", Tier.FOG_SERVER, 1_000),
         ]
         links = [
@@ -120,29 +119,31 @@ class TestBuildTopology:
         if fault == "cloud_parent_field":
             links.append(Link("cloud", "edge-a", 1_000, 100))
         if fault == "duplicate":
-            nodes.append(NetworkNode("edge-a", Tier.EDGE_SERVER, 1_000, (1, 1)))
+            nodes.append(NetworkNode("edge-a", Tier.EDGE_SERVER, 1_000, 3))
         with pytest.raises(TopologyError, match=match):
             topology_of(nodes, links)
 
     def test_region_without_edge_server_fails_at_lookup(self):
-        topo = minimal_chain()
+        topo, devices, _ = build_user_topology([0], 1, 1, PARAMS)
         with pytest.raises(TopologyError, match="no edge server"):
-            topo.edge_of_region((5, 5))
+            Placement(Policy.FOG_EDGE, topo, PROFILES, devices, 6)
 
 
 def columns(topo):
-    """A topology's columns as plain lists, node and edge indexes spelt as ids."""
+    """A topology's columns by node id, node and edge indexes spelt as ids."""
     ids = topo.node_ids
-    return {"node_ids": ids, "tier": topo.tier.tolist(),
-            "parent": [ids[p] for p in topo.parent.tolist()], "capacity": topo.capacity.tolist(),
-            "uplink_us": topo.uplink_us.tolist(), "uplink_mbps": topo.uplink_mbps.tolist(),
+    return {"tier": dict(zip(ids, topo.tier.tolist())),
+            "parent": {i: ids[p] for i, p in zip(ids, topo.parent.tolist())},
+            "capacity": dict(zip(ids, topo.capacity.tolist())),
+            "uplink_us": dict(zip(ids, topo.uplink_us.tolist())),
+            "uplink_mbps": dict(zip(ids, topo.uplink_mbps.tolist())),
             "edges_by_region": {r: [ids[e] for e in edges]
                                 for r, edges in topo.edges_by_region.items()},
-            "cloud_id": topo.cloud_id}
+            "cloud_id": ids[topo.cloud]}
 
 
 def reference_columns(nodes, links):
-    """The same lists read off NetworkNode and Link objects; the cloud is its own parent."""
+    """The same read off NetworkNode and Link objects; the cloud is its own parent."""
     by_id = {n.id: n for n in nodes}
     uplink = {link.child: link for link in links}
     ids = sorted(by_id)
@@ -150,40 +151,46 @@ def reference_columns(nodes, links):
     for node_id in ids:
         if by_id[node_id].tier == Tier.EDGE_SERVER:
             edges_by_region.setdefault(by_id[node_id].region, []).append(node_id)
-    return {"node_ids": ids, "tier": [by_id[i].tier for i in ids],
-            "parent": [by_id[i].parent or i for i in ids],
-            "capacity": [by_id[i].capacity_mips for i in ids],
-            "uplink_us": [uplink[i].propagation_us if i in uplink else 0 for i in ids],
-            "uplink_mbps": [uplink[i].bandwidth_mbps if i in uplink else 0 for i in ids],
+    return {"tier": {i: by_id[i].tier for i in ids},
+            "parent": {i: by_id[i].parent or i for i in ids},
+            "capacity": {i: by_id[i].capacity_mips for i in ids},
+            "uplink_us": {i: uplink[i].propagation_us if i in uplink else 0 for i in ids},
+            "uplink_mbps": {i: uplink[i].bandwidth_mbps if i in uplink else 0 for i in ids},
             "edges_by_region": edges_by_region,
             "cloud_id": next(n.id for n in nodes if n.tier == Tier.CLOUD_SERVER)}
 
 
 def reference_to_cloud_us(nodes, links, payload_bytes):
-    """transfer_time of each node's links up to the cloud, walked over the objects, in id order."""
+    """transfer_time of each node's links up to the cloud, walked over the objects, by id."""
     by_id = {n.id: n for n in nodes}
     uplink = {link.child: link for link in links}
-    costs = []
-    for node_id in sorted(by_id):
-        route = []
+    costs = {}
+    for start in by_id:
+        node_id, route = start, []
         while by_id[node_id].parent is not None:
             route.append(uplink[node_id])
             node_id = by_id[node_id].parent
-        costs.append(transfer_time(payload_bytes, route))
+        costs[start] = transfer_time(payload_bytes, route)
     return costs
 
 
-def assert_builder_matches_reference(homes, grid, topology):
-    """The builder, given each home as its index in grid, against the reference, given it as is."""
-    topo, devices, fogs = build_user_topology(list(map(grid.index, homes)), grid, topology)
-    nodes, links_, ref_devices, ref_fogs = reference_topology(homes, grid, topology)
+def assert_builder_matches_reference(homes, regions_x, regions_y, topology):
+    """The builder against the reference, given the same region index per user."""
+    topo, devices, fogs = build_user_topology(homes, regions_x, regions_y, topology)
+    nodes, links_, ref_devices, ref_fogs = reference_topology(homes, regions_x, regions_y,
+                                                              topology)
     expected = reference_columns(nodes, links_)
     assert columns(topo) == expected
     assert columns(topology_of(nodes, links_)) == expected
-    assert (devices, fogs) == (ref_devices, ref_fogs)
+    assert ([topo.node_ids[d] for d in devices], fogs) == (ref_devices, ref_fogs)
     for payload in (0, 500, 1_000, 2_000):
-        assert topo.transfer_to_cloud_us(payload).tolist() == \
+        assert dict(zip(topo.node_ids, topo.transfer_to_cloud_us(payload).tolist())) == \
             reference_to_cloud_us(nodes, links_, payload)
+    # rows: the cloud, the edges, the fogs, then user u's device dev-u under its home fog
+    assert topo.tier.tolist() == sorted(topo.tier.tolist(), reverse=True)
+    for u, device in enumerate(devices):
+        assert topo.node_ids[device] == f"dev-{u}"
+        assert topo.node_ids[topo.parent[device]] == fogs[u]
 
 
 _LINK = st.fixed_dictionaries({"propagation_ms": st.sampled_from([0.0, 0.5, 2.0, 16.1]),
@@ -205,25 +212,25 @@ class TestColumnBuilder:
            links=st.tuples(_LINK, _LINK, _LINK))
     def test_columns_equal_the_reference_builder(self, data, regions_x, regions_y, edges,
                                                  devices_per_fog, links):
-        grid = [(rx, ry) for rx in range(regions_x) for ry in range(regions_y)]
+        n_regions = regions_x * regions_y
         # users start in some of the regions, so others have edges but no fog
-        occupied = sorted(data.draw(st.sets(st.sampled_from(grid), min_size=1,
-                                            max_size=max(1, len(grid) - 1))))
+        occupied = sorted(data.draw(st.sets(st.sampled_from(range(n_regions)), min_size=1,
+                                            max_size=max(1, n_regions - 1))))
         homes = data.draw(st.lists(st.sampled_from(occupied), min_size=1, max_size=20))
-        assert_builder_matches_reference(homes, grid, topology_cfg(edges, devices_per_fog, links))
+        assert_builder_matches_reference(homes, regions_x, regions_y,
+                                         topology_cfg(edges, devices_per_fog, links))
 
     @pytest.mark.parametrize("edges", [11, 12])
     def test_many_edges_sort_as_strings_and_take_fogs_in_creation_order(self, edges):
-        # 14 one-device fogs in region (0, 1) wrap past the last edge; edge-0-1-10 sorts
-        # before edge-0-1-2, and region (1, 0) stays empty
-        grid = [(0, 0), (0, 1), (1, 0), (1, 1)]
-        homes = [(0, 1)] * 14 + [(1, 1)] * 3 + [(0, 0)]
-        assert_builder_matches_reference(homes, grid, topology_cfg(edges, 1))
-        topo, _, _ = build_user_topology(list(map(grid.index, homes)), grid, topology_cfg(edges, 1))
-        edge_ids = [topo.node_ids[e] for e in topo.edges_by_region[(0, 1)]]
+        # 14 one-device fogs in region (0, 1), index 1, wrap past the last edge; edge-0-1-10
+        # sorts before edge-0-1-2, and region (1, 0), index 2, stays empty
+        homes = [1] * 14 + [3] * 3 + [0]
+        assert_builder_matches_reference(homes, 2, 2, topology_cfg(edges, 1))
+        topo, _, _ = build_user_topology(homes, 2, 2, topology_cfg(edges, 1))
+        edge_ids = [topo.node_ids[e] for e in topo.edges_by_region[1]]
         assert edge_ids[:3] == ["edge-0-1-0", "edge-0-1-1", "edge-0-1-10"]
         assert edge_ids[-1] == "edge-0-1-9"
-        fog = topo.node_index[f"fog-0-1-{edges}"]  # the first fog past the last edge
+        fog = topo.node_ids.index(f"fog-0-1-{edges}")  # the first fog past the last edge
         assert topo.node_ids[topo.parent[fog]] == "edge-0-1-0"
 
 
@@ -252,7 +259,7 @@ class TestPath:
 
     def test_sibling_path_goes_through_common_ancestor(self):
         # two users, one device per fog: two sibling fogs under the one edge
-        topo, _, _ = build_user_topology([0] * 2, [(0, 0)], {**PARAMS, "devices_per_fog": 1})
+        topo, _, _ = build_user_topology([0] * 2, 1, 1, {**PARAMS, "devices_per_fog": 1})
         fogs = sorted(i for i, n in nodes_by_id(topo).items() if n.tier == Tier.FOG_SERVER)
         route = path(topo, fogs[0], fogs[1])
         assert len(route) == 2  # up to the edge, down to the sibling
@@ -353,11 +360,9 @@ def test_mm1_mean_wait_is_pinned():
 class TestEndToEndLatency:
     @staticmethod
     def records(kind, owner):
-        topo = minimal_chain()
-        dev = next(n for n in nodes_by_id(topo) if n.startswith("dev"))
-        fog = next(n for n in nodes_by_id(topo) if n.startswith("fog"))
+        topo, devices, (fog,) = build_user_topology([0], 1, 1, PARAMS)
         records = []
-        placement = Placement(Policy.FOG_EDGE, topo, PROFILES, [dev], [(0, 0)])
+        placement = Placement(Policy.FOG_EDGE, topo, PROFILES, devices, 1)
         pipeline = TaskPipeline(placement, record_sink=records.append)
         pipeline.submit(kind, owner, 0)
         pipeline.resolve(10_000_000)

@@ -23,11 +23,10 @@ def small_cfg(**workload):
 
 class TestPlacementTable:
     def setup_method(self):
-        # one user, so one fog, in each of two regions
-        regions = [(0, 0), (1, 1)]
+        # one user, so one fog, in each of regions (0, 0) and (1, 1) of a 2 x 2 grid
         topology = resolve_config({"topology": {
             "fog_mips": 4_000, "links": {"edge_cloud": {"propagation_ms": 30.0}}}})["topology"]
-        self.topo, _, fogs = build_user_topology([0, 1], regions, topology)
+        self.topo, _, fogs = build_user_topology([0, 3], 2, 2, topology)
         self.fog = fogs[0]
 
     def place(self, kind, policy=Policy.FOG_EDGE, region=None):
@@ -35,7 +34,7 @@ class TestPlacementTable:
 
     def test_cloud_only_sends_every_kind_to_cloud(self):
         for kind in TaskKind:
-            assert self.place(kind, Policy.CLOUD_ONLY, region=(1, 1)) == "cloud"
+            assert self.place(kind, Policy.CLOUD_ONLY, region=3) == "cloud"
 
     def test_fogedge_navigation_goes_to_home_fog(self):
         assert self.place(TaskKind.SPATIAL_NAVIGATION) == self.fog
@@ -44,16 +43,16 @@ class TestPlacementTable:
         assert self.place(TaskKind.COLLISION_DETECTION) == self.fog
 
     def test_fogedge_social_goes_to_current_region_edge(self):
-        assert self.place(TaskKind.SOCIAL_INTERACTION, region=(1, 1)) == "edge-1-1"
+        assert self.place(TaskKind.SOCIAL_INTERACTION, region=3) == "edge-1-1"
 
     def test_fogedge_transaction_goes_to_submitter_region_edge(self):
-        assert self.place(TaskKind.TRANSACTION_VALIDATION, region=(0, 0)) == "edge-0-0"
+        assert self.place(TaskKind.TRANSACTION_VALIDATION, region=0) == "edge-0-0"
 
     def test_fogedge_universe_simulation_stays_on_cloud(self):
         assert self.place(TaskKind.UNIVERSE_SIMULATION) == "cloud"
 
     def test_place_is_deterministic(self):
-        nodes = {self.place(TaskKind.SOCIAL_INTERACTION, region=(1, 1)) for _ in range(5)}
+        nodes = {self.place(TaskKind.SOCIAL_INTERACTION, region=3) for _ in range(5)}
         assert len(nodes) == 1
 
     def test_fog_task_without_home_fog_is_an_error(self):
@@ -72,29 +71,29 @@ class TestPlacementArrays:
            links=st.tuples(_LINK, _LINK, _LINK))
     def test_apply_equals_place_transfer_and_service_task_by_task(
             self, data, regions_x, regions_y, edges, devices_per_fog, links):
-        grid = [(rx, ry) for rx in range(regions_x) for ry in range(regions_y)]
-        homes = data.draw(st.lists(st.sampled_from(grid), min_size=1, max_size=12))
+        n_regions = regions_x * regions_y
+        homes = data.draw(st.lists(st.integers(0, n_regions - 1), min_size=1, max_size=12))
         topology = {"device_mips": 2_000, "fog_mips": 4_000, "edge_mips": 20_000,
                     "cloud_mips": 100_000, "edges_per_region": edges,
                     "devices_per_fog": devices_per_fog,
                     "links": dict(zip(("device_fog", "fog_edge", "edge_cloud"), links))}
-        topo, devices, fogs = build_user_topology(list(map(grid.index, homes)), grid, topology)
+        topo, devices, fogs = build_user_topology(homes, regions_x, regions_y, topology)
         profiles = resolve_config(None)["workload"]["profiles"]
         owner_of = st.integers(0, len(homes) - 1)
         tasks = data.draw(st.lists(st.tuples(
-            st.sampled_from(list(TaskKind)), owner_of, st.integers(0, len(grid) - 1),
+            st.sampled_from(list(TaskKind)), owner_of, st.integers(0, n_regions - 1),
             st.integers(0, 50)), min_size=1, max_size=30))
         tasks = [(k, SYSTEM_OWNER if k == TaskKind.UNIVERSE_SIMULATION else o, r,
                   c if k == TaskKind.COLLISION_DETECTION else 0) for k, o, r, c in tasks]
         columns = [np.array(column, dtype=np.int64) for column in zip(*tasks)]
         for policy in Policy:
-            placement = Placement(policy, topo, profiles, devices, grid)
+            placement = Placement(policy, topo, profiles, devices, n_regions)
             got = list(zip(*(column.tolist() for column in placement.apply(*columns))))
             for (kind, owner, region, candidates), (server, up, service, down) in zip(tasks, got):
                 system = owner == SYSTEM_OWNER
                 node = place(kind, policy, topo, None if system else fogs[owner],
-                             region=grid[region], owner=owner)
-                source = topo.cloud_id if system else devices[owner]
+                             region=region, owner=owner)
+                source = topo.node_ids[topo.cloud if system else devices[owner]]
                 profile = profiles[KIND_LABELS[kind]]
                 length = profile.get("length_mi", profile.get("base_length_mi"))
                 length += profile.get("per_neighbor_mi", 0) * candidates
