@@ -5,14 +5,16 @@ together for one (config, seed) pair and runs to the horizon in two phases.
 The event loop only generates work: movement ticks, messages, transactions
 and universe tasks, each submitted as a task. Links have no contention and
 no task outcome feeds back into generation, so the queues are resolved apart
-from the loop: once per simulated second, the new tasks are placed by table
-lookup, every task that has reached its server is served FIFO by Lindley's
-recurrence, and every task whose downlink has landed back at the device is
-emitted, in the order of its finish time, to the latency statistics, the
-record sink and the ledger. The loop does not depend on the policy, so one
-generation feeds every policy of the run. Sweeps run one generation per
-(value, replication) for both policies and order results deterministically,
-so serial and parallel execution produce identical output.
+from the loop, after each simulated second that leaves RESOLVE_ROWS tasks
+buffered and at the horizon: the new tasks are placed by table lookup, every
+task that has reached its server is served FIFO by Lindley's recurrence, and
+every task whose downlink has landed back at the device is emitted, in the
+order of its finish time, to the latency statistics, the record sink and the
+ledger. A pass emits all that finishes by its cutoff, so the cadence changes
+no output. The loop does not depend on the policy, so one generation feeds
+every policy of the run. Sweeps run one generation per (value, replication)
+for both policies and order results deterministically, so serial and
+parallel execution produce identical output.
 """
 
 from __future__ import annotations
@@ -79,8 +81,9 @@ class ScenarioResult:
     chain: list[str] | None = None
 
 
-# The run resolves the queues once per window of simulated time.
+# The engine steps a window of simulated time; served tasks are bucketed by window.
 WINDOW_US = US_PER_S
+RESOLVE_ROWS = 2_000  # tasks buffered before a resolve pass, whose cost is largely fixed
 
 # Columns of a submitted task: its policy-free fields. REGION indexes the
 # world grid's regions, the owner's at creation. The task id is not buffered:
@@ -109,7 +112,8 @@ class TaskPipeline:
     (finish, completion, arrival, task id) order, every task whose downlink
     lands by the cutoff; that is the order in which a per-task event loop
     would finish them. Served tasks wait for emission in buckets keyed by
-    finish window, so a long backlog is never rescanned.
+    finish window, so a long backlog is never rescanned; a pass emits all
+    its due buckets together, however many windows its cutoff spans.
     The transactions handed to on_validated are those of the emitted
     transaction-validation tasks.
     """
@@ -148,6 +152,9 @@ class TaskPipeline:
         if tx is not None:
             self._new_txs[self.tasks_generated + len(self._buffer) // _SUBMITTED] = tx
         self._buffer.extend((kind, owner, created_us, region, candidates))
+
+    def buffered(self) -> int:  # tasks submitted since the last resolve
+        return len(self._buffer) // _SUBMITTED
 
     def resolve(self, cutoff_us: int) -> None:
         """Serve the tasks that arrive by cutoff_us; emit those that finish by it.
@@ -218,13 +225,17 @@ class TaskPipeline:
             self._buckets.setdefault(k, []).append(served[lo:hi])
 
     def _emit_due(self, cutoff_us: int) -> None:
-        for key in sorted(k for k in self._buckets if k <= cutoff_us // WINDOW_US):
-            rows = np.concatenate(self._buckets.pop(key))
-            late = rows[:, _FINISH] > cutoff_us
-            if late.any():
-                self._buckets[key] = [rows.compress(late, axis=0)]
-                rows = rows.compress(~late, axis=0)
-            self._emit(rows)
+        """Emit the due buckets at once; only the cutoff's own bucket can hold late rows."""
+        last = cutoff_us // WINDOW_US
+        due = [part for k in [*self._buckets] if k <= last for part in self._buckets.pop(k)]
+        if not due:
+            return
+        rows = np.concatenate(due)
+        late = rows[:, _FINISH] > cutoff_us
+        if late.any():
+            self._buckets[last] = [rows.compress(late, axis=0)]
+            rows = rows.compress(~late, axis=0)
+        self._emit(rows)
 
     def _emit(self, rows: np.ndarray) -> None:
         """Count emitted tasks into the statistics; records and transactions go in finish order."""
@@ -298,7 +309,8 @@ class ScenarioRunner:
     policy may be a tuple of policies. The run then generates the workload
     once and resolves it under each, with a TaskPipeline and a Chain per
     policy, so that every policy sees the same avatars, messages and
-    transactions. pipeline and chain are those of the first policy.
+    transactions. pipeline and chain are those of the first policy. A record
+    sink gets each pass's records policy by policy, each in finish order.
     """
 
     def __init__(self, cfg: dict, policy: Policy | tuple[Policy, ...], seed: int,
@@ -459,12 +471,13 @@ class ScenarioRunner:
     # -- execution ----------------------------------------------------------
 
     def run(self) -> None:
-        """Generate a window at a time, resolving the queues after each window."""
+        """Generate a window at a time; resolve once RESOLVE_ROWS tasks wait, and at the end."""
         engine = self.engine
         pipeline = self.pipeline
         for cutoff in range(WINDOW_US - 1, self.horizon_us, WINDOW_US):
             engine.run_until(cutoff)
-            pipeline.resolve(cutoff)
+            if pipeline.buffered() >= RESOLVE_ROWS:
+                pipeline.resolve(cutoff)
         engine.run_until(self.horizon_us)
         pipeline.resolve(self.horizon_us)
         for chain in self.chains.values():

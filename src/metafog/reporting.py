@@ -218,7 +218,7 @@ def emit(results: list[ScenarioResult], out_dir: str | Path, cfg: dict,
 
 
 def reduction_table(results: list[ScenarioResult]) -> str:
-    """Cloud-vs-fogedge mean latency and reduction per swept value."""
+    """Cloud-vs-fogedge mean latency and reduction per swept value with both policies."""
     lines = [f"{'value':>10}  {'cloud_ms':>14}  {'fogedge_ms':>14}  {'reduction':>10}"]
     for value, means in _mean_ms_by_value(results, "overall").items():
         if "cloudonly" not in means or "fogedge" not in means:
@@ -226,4 +226,6 @@ def reduction_table(results: list[ScenarioResult]) -> str:
         cloud_ms, fog_ms = means["cloudonly"], means["fogedge"]
         red = latency_reduction(cloud_ms, fog_ms)
         lines.append(f"{value_label(value):>10}  {cloud_ms:>14.3f}  {fog_ms:>14.3f}  {red:>9.1%}")
+    if len(lines) == 1:
+        raise ConfigError("results hold no value with both cloudonly and fogedge rows")
     return "\n".join(lines)

@@ -5,12 +5,14 @@ import math
 import random
 import re
 from fractions import Fraction
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from metafog import harness
 from metafog.cli import main as cli_main
 from metafog.config import DEFAULTS, config_digest, load_config, resolve_config
 from metafog.errors import ConfigError, ScenarioError
@@ -279,6 +281,18 @@ class TestResolve:
     @settings(max_examples=150, deadline=None)
     @given(tasks=st.lists(_TASK, max_size=50), cuts=st.lists(st.integers(0, 6_000), max_size=5))
     def test_windowed_resolve_matches_a_per_task_replay(self, tasks, cuts):
+        self.check_against_replay(tasks, cuts)
+
+    @settings(max_examples=150, deadline=None)
+    @given(tasks=st.lists(_TASK, max_size=50), cuts=st.lists(st.integers(0, 6_000), max_size=5))
+    def test_millisecond_buckets_match_the_replay(self, tasks, cuts):
+        # Finish buckets 1 ms wide: a pass emits several of them, and leaves
+        # the rows finishing after its cutoff in the last.
+        with patch.object(harness, "WINDOW_US", 1_000):
+            self.check_against_replay(tasks, cuts)
+
+    @staticmethod
+    def check_against_replay(tasks, cuts):
         tasks = sorted(tasks)  # submitted as generated: in creation order
         records, validated = [], []
         pipeline = TaskPipeline(_GivenPlacement(tasks), record_sink=records.append)
@@ -465,6 +479,52 @@ class TestPairedPolicies:
                 alone.collect("s", "user_count", users, 0)
             assert [r for r in paired if r.policy == policy.value] == records
             assert both.chains[policy].export_lines() == alone.chain.export_lines()
+
+
+class TestResolveCadence:
+    """The outputs do not depend on how many windows a resolve pass spans."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(users=st.integers(1, 300), messages=st.sampled_from([0.0, 0.3, 1.0]),
+           txs=st.sampled_from([0.0, 0.2, 1.0]), batch=st.integers(1, 4),
+           horizon_s=st.integers(1, 10), rows=st.integers(1, 600), seed=st.integers(0, 1_000))
+    def test_every_window_the_default_a_drawn_threshold_and_one_pass_agree(
+            self, users, messages, txs, batch, horizon_s, rows, seed):
+        cfg = resolve_config({
+            "world": {"width": 150.0, "height": 150.0, "regions_x": 2, "regions_y": 2},
+            "workload": {"user_count": users, "message_rate_per_user_per_s": messages,
+                         "tx_rate_per_user_per_s": txs},
+            "ledger": {"batch_size": batch},
+            "experiment": {"horizon_ms": 1_000.0 * horizon_s, "warmup_ms": 250.0 * horizon_s},
+        })
+        horizon_us = 1_000_000 * horizon_s
+        resolve = TaskPipeline.resolve
+
+        def run(threshold):
+            records, cutoffs = [], []
+
+            def counted(pipeline, cutoff_us):
+                cutoffs.append(cutoff_us)
+                resolve(pipeline, cutoff_us)
+
+            runner = ScenarioRunner(cfg, PAIR, seed, record_sink=records.append)
+            with patch.object(harness, "RESOLVE_ROWS", threshold), \
+                    patch.object(TaskPipeline, "resolve", counted):
+                runner.run()
+            # The policies share the sink, and a pass hands it one policy's records,
+            # then the other's: only each policy's sequence is an output.
+            outputs = [(runner.collect("s", "user_count", users, 0, policy),
+                        runner.chains[policy].export_lines(),
+                        [r for r in records if r.policy == policy.value]) for policy in PAIR]
+            return outputs, cutoffs, runner.pipeline.tasks_generated
+
+        every_window, cutoffs, submitted = run(0)
+        assert cutoffs == [*range(999_999, horizon_us, 1_000_000), horizon_us]
+        once, cutoffs, _ = run(submitted + 1)
+        assert cutoffs == [horizon_us]
+        assert once == every_window
+        assert run(harness.RESOLVE_ROWS)[0] == every_window
+        assert run(rows)[0] == every_window
 
 
 class TestEmission:
@@ -675,3 +735,19 @@ class TestCli:
         assert cli_main(["report", "--in", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert f"{path}: {where}" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("lines", [
+        [CSV_HEADER],
+        [CSV_HEADER, _ROW],  # cloud-only, as `metafog run --policy cloud` writes
+        [CSV_HEADER, _ROW, _ROW.replace("cloudonly", "fogedge").replace(",4,", ",8,")],
+    ], ids=["header-only", "cloud-only", "one-policy-per-value"])
+    def test_results_without_a_value_under_both_policies_exit_2(self, lines, tmp_path, capsys):
+        (tmp_path / "results.csv").write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigError, match="^results hold no value with both cloudonly and "
+                                              "fogedge rows$"):
+            reduction_table(parse_results_csv(tmp_path / "results.csv"))
+        assert cli_main(["report", "--in", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "no value with both cloudonly and fogedge rows" in captured.err
+        assert "Traceback" not in captured.err
