@@ -9,7 +9,7 @@ is detectable with a single verification pass.
 
 from dataclasses import replace
 
-from metafog import Chain, Transaction, verify_chain
+from metafog import Chain, Transaction
 
 chain = Chain()
 for i in range(23):
@@ -26,11 +26,11 @@ print("chain export (index hash prev_hash tx_count formed_at_us):")
 for line in chain.export_lines():
     print(" ", line[:90], "...")
 
-print("\nverify_chain:", verify_chain(chain))
+print("\nverify_chain:", chain.verify())
 
 # tamper with one amount deep in block 0 and watch verification fail
 block = chain.blocks[0]
 txs = list(block.txs)
 txs[3] = replace(txs[3], amount=999_999)
 chain.blocks[0] = replace(block, txs=tuple(txs))
-print("after tampering with one amount:", verify_chain(chain))
+print("after tampering with one amount:", chain.verify())

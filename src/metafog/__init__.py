@@ -11,7 +11,7 @@ from .config import resolve_config
 from .engine import Engine, RngStream
 from .errors import ConfigError, ScenarioError
 from .harness import ScenarioRunner, TaskPipeline, run_scenario, sweep
-from .ledger import Chain, Transaction, verify_chain
+from .ledger import Chain, Transaction
 from .reporting import emit, parse_results_csv, plot_series, reduction_table
 from .stats import latency_reduction
 from .workload import Policy

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 import struct
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, NamedTuple
@@ -496,9 +495,12 @@ class ScenarioRunner:
                 f"conservation violated: {in_flight} tasks unaccounted but "
                 f"{unfinished} tasks buffered or queued"
             )
-        per_kind = [np.sort(np.concatenate(parts)) if parts else np.empty(0, dtype=np.int64)
+        per_kind = [np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
                     for parts in pipeline.totals]
-        stats: dict[str, KindStats] = {"overall": _kind_stats(np.sort(np.concatenate(per_kind)))}
+        overall = np.concatenate(per_kind)
+        for totals in (*per_kind, overall):
+            totals.sort()  # each is a fresh join; np.sort would copy it once more
+        stats: dict[str, KindStats] = {"overall": _kind_stats(overall)}
         for label, totals in zip(KIND_LABELS, per_kind):
             stats[label] = _kind_stats(totals)
         extras = {
@@ -638,6 +640,7 @@ def sweep(config: dict | None, param: str, values: list | None = None,
     jobs = [(_scenario_overrides(cfg, param, value), exp["base_seed"] + rep, param, value, rep)
             for value in values for rep in range(replications)]
     if parallel:
+        from concurrent.futures import ProcessPoolExecutor  # only a parallel sweep loads it
         with ProcessPoolExecutor(max_workers=max_workers) as pool:
             per_job = list(pool.map(_sweep_worker, jobs))
     else:

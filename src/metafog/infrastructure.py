@@ -134,6 +134,11 @@ def fifo_completions(server: np.ndarray, arrival: np.ndarray, service: np.ndarra
     first[0] = True
     np.not_equal(server[1:], server[:-1], out=first[1:])
     starts = np.flatnonzero(first)
+    # No completion passes the latest lead plus all the service: bound that in
+    # float, with a factor-2 margin, before an int64 sum can wrap.
+    latest = max(arrival.max(), busy_until[server[starts]].max()) + service.sum(dtype=float)
+    if latest >= 2.0 ** 62:
+        raise OverflowError("FIFO batch completes past the int64 microsecond range")
     group = np.cumsum(first) - 1
     before = np.cumsum(service) - service  # service of earlier tasks ...
     before -= before[starts][group]  # ... of the same server

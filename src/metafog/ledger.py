@@ -97,7 +97,14 @@ class Chain:
         return block
 
     def verify(self) -> bool:
-        return verify_chain(self)
+        """True iff every block hash recomputes and every prev_hash link matches."""
+        prev = ZERO_DIGEST
+        for i, block in enumerate(self.blocks):
+            if (block.index != i or block.prev_hash != prev
+                    or block.hash != block_hash(i, prev, block.txs, block.formed_at_us)):
+                return False
+            prev = block.hash
+        return True
 
     def export_lines(self) -> list[str]:
         """Plain-text chain export: index, hash, prev_hash, tx count, formed_at_us."""
@@ -105,17 +112,3 @@ class Chain:
             f"{b.index} {b.hash.hex()} {b.prev_hash.hex()} {len(b.txs)} {b.formed_at_us}"
             for b in self.blocks
         ]
-
-
-def verify_chain(chain: Chain) -> bool:
-    """True iff every block hash recomputes and every prev_hash link matches."""
-    prev = ZERO_DIGEST
-    for i, block in enumerate(chain.blocks):
-        if block.index != i:
-            return False
-        if block.prev_hash != prev:
-            return False
-        if block_hash(block.index, block.prev_hash, block.txs, block.formed_at_us) != block.hash:
-            return False
-        prev = block.hash
-    return True

@@ -2,9 +2,13 @@
 
 import json
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from unittest.mock import patch
 
 import numpy as np
@@ -251,6 +255,32 @@ class TestRunScenario:
                                 "universe_simulation"}
         total = sum(s.count for k, s in r.stats.items() if k != "overall")
         assert total == r.stats["overall"].count
+
+    def test_a_run_loads_no_process_pool(self):
+        # Only a parallel sweep needs the pool; importing it costs every run about 2 MB.
+        script = ("import sys, metafog; "
+                  f"metafog.run_scenario({SMALL!r}, 'fogedge', 1); "
+                  "print(sorted(m for m in sys.modules "
+                  "if m.startswith(('concurrent', 'multiprocessing'))))")
+        src = str(Path(harness.__file__).parents[1])
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == "[]"
+
+    def test_collect_twice_agrees_and_leaves_the_latency_parts_as_they_were(self):
+        runner = ScenarioRunner(resolve_config(SMALL), PAIR, 3)
+        runner.run()
+        totals = runner.pipeline.totals
+
+        def snapshot():
+            return [[(part.dtype, part.tobytes()) for part in kind] for kind in totals]
+
+        before = snapshot()
+        # emission order is not sorted order, so a part sorted in place would show
+        assert any(np.any(np.diff(part) < 0) for kind in totals for part in kind)
+        first = runner.collect("s", "user_count", 8, 0)
+        assert runner.collect("s", "user_count", 8, 0) == first
+        assert snapshot() == before
 
 
 _TASK = st.tuples(

@@ -351,6 +351,13 @@ class TestComputeQueue:
         with pytest.raises(OverflowError):
             fifo_completions(np.array([0, 1]), np.array([0, 1 << 62]), np.array([1, 1]), busy)
 
+    def test_service_summing_past_int64_is_refused_before_busy_until_moves(self):
+        # each service fits in int64, their sum on one server does not
+        busy = np.array([5, 7], dtype=np.int64)
+        with pytest.raises(OverflowError):
+            fifo_completions(np.array([0, 0]), np.array([0, 0]), np.array([2**62, 2**62]), busy)
+        assert busy.tolist() == [5, 7]
+
 
 def test_mm1_mean_wait_is_pinned():
     assert simulate_mm1(0.25, 0.5, 100_000, seed=2024) == \

@@ -12,7 +12,6 @@ from metafog.ledger import (
     Transaction,
     block_hash,
     validate_transaction,
-    verify_chain,
 )
 
 
@@ -75,7 +74,7 @@ class TestBatching:
 
 class TestVerification:
     def test_empty_chain_verifies(self):
-        assert verify_chain(Chain())
+        assert Chain().verify()
 
     def test_genesis_anchors_at_zero_digest(self):
         chain = Chain()
