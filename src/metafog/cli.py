@@ -52,8 +52,6 @@ def _parse_values(text: str, param: str) -> list:
         except ValueError:
             raise ConfigError(f"--values: {part!r} is not {expected} "
                               f"(--param {param})") from None
-    if not values:
-        raise ConfigError("--values must contain at least one number")
     return values
 
 
@@ -70,7 +68,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = load_config(args.config)
-    values = _parse_values(args.values, args.param) if args.values else None
+    values = None if args.values is None else _parse_values(args.values, args.param)
     results = sweep(cfg, args.param, values, args.reps, parallel=args.parallel)
     files = emit(results, args.out, cfg, param=args.param)
     print(f"{len(results)} scenarios -> {', '.join(str(f) for f in files)}")

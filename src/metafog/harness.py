@@ -9,12 +9,15 @@ from the loop, after each simulated second that leaves RESOLVE_ROWS tasks
 buffered and at the horizon: the new tasks are placed by table lookup, every
 task that has reached its server is served FIFO by Lindley's recurrence, and
 every task whose downlink has landed back at the device is emitted, in the
-order of its finish time, to the latency statistics, the record sink and the
-ledger. A pass emits all that finishes by its cutoff, so the cadence changes
-no output. The loop does not depend on the policy, so one generation feeds
-every policy of the run. Sweeps run one generation per (value, replication)
-for both policies and order results deterministically, so serial and
-parallel execution produce identical output.
+order of its finish time, to the latency statistics and the record sink. The
+pipelines hold task rows only: each emitted validation task goes back to the
+runner as its (finish, task id), and the runner, which holds the
+transactions by task id, adds that one to the policy's chain. A pass emits
+all that finishes by its cutoff, so the cadence changes no output. The loop
+does not depend on the policy, so one generation feeds every policy of the
+run. Sweeps run one generation per (value, replication) for both policies
+and order results deterministically, so serial and parallel execution
+produce identical output.
 """
 
 from __future__ import annotations
@@ -113,15 +116,15 @@ class TaskPipeline:
     would finish them. Served tasks wait for emission in buckets keyed by
     finish window, so a long backlog is never rescanned; a pass emits all
     its due buckets together, however many windows its cutoff spans.
-    The transactions handed to on_validated are those of the emitted
-    transaction-validation tasks.
+    It holds no transaction: on_validated(finish, task id) is called once
+    per emitted transaction-validation task, in emission order.
     """
 
     __slots__ = (
         "placement", "warmup_us", "record_sink", "on_validated", "peers",
         "busy_until", "totals", "generated", "completed",
         "records_emitted", "tasks_generated",
-        "_buffer", "_new_txs", "_held", "_buckets", "_txs", "_shared",
+        "_buffer", "_held", "_buckets", "_shared",
     )
 
     def __init__(self, placement: Placement, warmup_us: int = 0,
@@ -129,7 +132,7 @@ class TaskPipeline:
         self.placement = placement
         self.warmup_us = warmup_us
         self.record_sink = record_sink
-        # set by the runner: called (finish_us, txs) per finish time, in emission order
+        # set by the runner: called (finish_us, task_id) per validation task, in emission order
         self.on_validated = None
         self.peers: list[TaskPipeline] = []
         self.busy_until = np.zeros(len(placement.node_ids), dtype=np.int64)
@@ -139,17 +142,13 @@ class TaskPipeline:
         self.records_emitted = 0
         self.tasks_generated = 0  # taken in by resolve; the id of the next task taken in
         self._buffer: list[int] = []  # submitted since the last resolve, _SUBMITTED fields each
-        self._new_txs: dict[int, Transaction] = {}  # the same, by task id
         self._held = np.empty((0, _PLACED), dtype=np.int64)  # placed, not yet arrived
         self._buckets: dict[int, list[np.ndarray]] = {}  # served, by finish // WINDOW_US
-        self._txs: dict[int, Transaction] = {}  # by task id, until validated
         self._shared: dict[int, int] = {}  # one int object per repeated record field value
 
     def submit(self, kind: int, owner: int, created_us: int, region: int = 0,
-               candidates: int = 0, tx: Transaction | None = None) -> None:
+               candidates: int = 0) -> None:
         """Buffer a generated task; its id is its submit index, its uplink starts at created_us."""
-        if tx is not None:
-            self._new_txs[self.tasks_generated + len(self._buffer) // _SUBMITTED] = tx
         self._buffer.extend((kind, owner, created_us, region, candidates))
 
     def buffered(self) -> int:  # tasks submitted since the last resolve
@@ -165,19 +164,17 @@ class TaskPipeline:
         buffer, self._buffer = self._buffer, []
         submitted = np.frombuffer(struct.pack(f"{len(buffer)}q", *buffer),
                                   dtype=np.int64).reshape(-1, _SUBMITTED)
-        txs, self._new_txs = self._new_txs, {}
         for pipeline in (self, *self.peers):
-            pipeline._take(submitted, txs)
+            pipeline._take(submitted)
             pipeline._serve(cutoff_us)
             pipeline._emit_due(cutoff_us)
 
-    def _take(self, submitted: np.ndarray, txs: dict[int, Transaction]) -> None:
+    def _take(self, submitted: np.ndarray) -> None:
         kind = submitted[:, _KIND]
         first = self.tasks_generated
         self.tasks_generated += len(submitted)
         for k, n in enumerate(np.bincount(kind, minlength=len(TaskKind)).tolist()):
             self.generated[k] += n
-        self._txs.update(txs)
         # Place the new tasks straight into their rows of the held block: no copy of them.
         held = len(self._held)
         rows = np.empty((held + len(submitted), _PLACED), dtype=np.int64)
@@ -237,7 +234,7 @@ class TaskPipeline:
         self._emit(rows)
 
     def _emit(self, rows: np.ndarray) -> None:
-        """Count emitted tasks into the statistics; records and transactions go in finish order."""
+        """Count emitted tasks into the statistics; records and validations go in finish order."""
         kind = rows[:, _KIND]
         created = rows[:, _CREATED]
         total = rows[:, _FINISH] - created
@@ -253,8 +250,11 @@ class TaskPipeline:
             rows = _in_finish_order(rows)
             self._record(rows)
         if self.on_validated is not None:
-            txs = rows.compress(rows[:, _KIND] == TaskKind.TRANSACTION_VALIDATION, axis=0)
-            self._validate(txs if self.record_sink is not None else _in_finish_order(txs))
+            validated = rows.compress(rows[:, _KIND] == TaskKind.TRANSACTION_VALIDATION, axis=0)
+            if self.record_sink is None:  # else rows are in finish order already
+                validated = _in_finish_order(validated)
+            for finish, task_id in validated[:, [_FINISH, _TID]].tolist():
+                self.on_validated(finish, task_id)
 
     def _record(self, rows: np.ndarray) -> None:
         sink = self.record_sink
@@ -270,20 +270,6 @@ class TaskPipeline:
             sink(LatencyRecord(tid, kind, share(owner, owner), policy, node_ids[server],
                                created, share(up, up), w, share(service, service),
                                share(down, down), t))
-
-    def _validate(self, rows: np.ndarray) -> None:
-        """Hand the transactions of emitted validation tasks over, grouped by equal finish time."""
-        txs = self._txs
-        group: list[Transaction] = []
-        at = None
-        for task_id, finish in rows[:, [_TID, _FINISH]].tolist():
-            if finish != at and group:
-                self.on_validated(at, group)
-                group = []
-            at = finish
-            group.append(txs.pop(task_id))
-        if group:
-            self.on_validated(at, group)
 
     def in_flight(self) -> int:
         return self.tasks_generated - self.records_emitted
@@ -310,6 +296,9 @@ class ScenarioRunner:
     policy, so that every policy sees the same avatars, messages and
     transactions. pipeline and chain are those of the first policy. A record
     sink gets each pass's records policy by policy, each in finish order.
+    The runner holds every transaction of the run by the id of its
+    validation task; a pipeline hands back (finish, task id) per validated
+    task, and that transaction goes to the policy's chain.
     """
 
     def __init__(self, cfg: dict, policy: Policy | tuple[Policy, ...], seed: int,
@@ -364,6 +353,7 @@ class ScenarioRunner:
         self.messages_sent = 0
         self.messages_skipped = 0
         self.tx_submitted = 0
+        self._txs: dict[int, Transaction] = {}  # by the task id of its validation
         self._universe_period_us = ms_to_us(wl["profiles"]["universe_simulation"]["period_ms"])
         self._msg_rate_per_ms = wl["message_rate_per_user_per_s"] / 1000.0
         self._tx_rate_per_ms = wl["tx_rate_per_user_per_s"] / 1000.0
@@ -447,25 +437,24 @@ class ScenarioRunner:
         tx = Transaction(self.tx_submitted, user, seller, self.tx_submitted, amount, now)
         self.tx_submitted += 1
         validate_transaction(tx)
-        self._submit_region_task(TaskKind.TRANSACTION_VALIDATION, user, now, tx)
+        pipeline = self.pipeline
+        self._txs[pipeline.tasks_generated + pipeline.buffered()] = tx  # the id submit gives it
+        self._submit_region_task(TaskKind.TRANSACTION_VALIDATION, user, now)
         self.engine.schedule(now + stream.exponential_us(self._tx_rate_per_ms),
                              EV_TX_SUBMIT, user)
 
-    def _submit_region_task(self, kind: TaskKind, user: int, now: int,
-                            tx: Transaction | None = None) -> None:
-        self.pipeline.submit(kind, user, now, self.world.avatars[user].region, 0, tx)
+    def _submit_region_task(self, kind: TaskKind, user: int, now: int) -> None:
+        self.pipeline.submit(kind, user, now, self.world.avatars[user].region)
 
     def _on_task_arrival(self, now: int, payload) -> None:
         # periodic universe-simulation task, originating at the cloud itself
         self.pipeline.submit(TaskKind.UNIVERSE_SIMULATION, SYSTEM_OWNER, now)
         self.engine.schedule(now + self._universe_period_us, EV_TASK_ARRIVAL, None)
 
-    def _tx_validated(self, chain: Chain, now: int, txs: list[Transaction]) -> None:
-        """Validate the transactions that finish at `now`, then form every full block."""
-        for tx in txs:
-            chain.add_validated(tx)
-        while chain.form_block(self.batch_size, now) is not None:
-            pass
+    def _tx_validated(self, chain: Chain, now: int, task_id: int) -> None:
+        """Validate the transaction whose task finishes at `now`; a full batch forms a block."""
+        chain.add_validated(self._txs[task_id])
+        chain.form_block(self.batch_size, now)
 
     # -- execution ----------------------------------------------------------
 
@@ -615,7 +604,8 @@ def sweep(config: dict | None, param: str, values: list | None = None,
     ordered by (value, policy, replication) no matter how execution was
     scheduled, and a parallel run returns exactly what a serial run returns.
     A scenario that fails raises an error naming its value, replication and
-    seed; a ConfigError stays a ConfigError. A value given twice, a
+    seed; a ConfigError stays a ConfigError. An empty value list,
+    replications that are not an integer >= 1, a value given twice, a
     user_count that is not an integer and a tx_rate that is not > 0 are
     refused before any scenario runs.
     """
@@ -627,8 +617,10 @@ def sweep(config: dict | None, param: str, values: list | None = None,
         values = exp["user_count_sweep"] if param == "user_count" else exp["tx_rate_sweep"]
     if replications is None:
         replications = exp["replications"]
-    if replications < 1:
-        raise ConfigError("replications must be >= 1")
+    if isinstance(replications, bool) or not isinstance(replications, int) or replications < 1:
+        raise ConfigError(f"sweep replications = {replications!r}: must be integer >= 1")
+    if not values:
+        raise ConfigError("sweep values: none given")
     for i, value in enumerate(values):
         if value in values[:i]:
             raise ConfigError(f"sweep values: {value_label(value)} is given more than once")

@@ -256,6 +256,34 @@ class TestRunScenario:
         total = sum(s.count for k, s in r.stats.items() if k != "overall")
         assert total == r.stats["overall"].count
 
+    @pytest.mark.parametrize("policy", ["cloud", "fogedge"])
+    @pytest.mark.parametrize("changes", [
+        {"workload.profiles.universe_simulation.upload_bytes": 10**6,
+         "workload.profiles.universe_simulation.download_bytes": 10**6},
+        {"topology.device_mips": 20_000},
+    ], ids=["universe-bytes", "device-mips"])
+    def test_keys_no_task_uses_change_no_output_but_the_digest(self, policy, changes):
+        # Universe tasks start and run at the cloud, so their payloads cross
+        # no link; and no task is served on a device.
+        base = {"workload": {"user_count": 8, "tx_rate_per_user_per_s": 0.5},
+                "ledger": {"batch_size": 3},
+                "experiment": {"horizon_ms": 15_000.0, "warmup_ms": 2_000.0}}
+        changed = json.loads(json.dumps(base))
+        for path, value in changes.items():
+            *sections, key = path.split(".")
+            node = changed
+            for section in sections:
+                node = node.setdefault(section, {})
+            node[key] = value
+        (a, a_records), (b, b_records) = [
+            (run_scenario(cfg, policy, 5, record_sink=records.append), records)
+            for cfg, records in ((base, []), (changed, []))]
+        universe = [r for r in b_records if r.kind == TaskKind.UNIVERSE_SIMULATION]
+        assert universe and all(r.uplink_us == r.downlink_us == 0 for r in universe)
+        assert a.chain and b.chain == a.chain
+        assert (b.stats, b.extras, b_records) == (a.stats, a.extras, a_records)
+        assert b.config_digest != a.config_digest
+
     def test_a_run_loads_no_process_pool(self):
         # Only a parallel sweep needs the pool; importing it costs every run about 2 MB.
         script = ("import sys, metafog; "
@@ -289,7 +317,7 @@ _TASK = st.tuples(
     st.integers(0, 500),  # uplink
     st.integers(1, 1_500),  # service
     st.integers(0, 500),  # downlink
-    st.booleans(),  # carries a transaction
+    st.booleans(),  # a transaction-validation task
 )
 
 
@@ -326,22 +354,20 @@ class TestResolve:
         tasks = sorted(tasks)  # submitted as generated: in creation order
         records, validated = [], []
         pipeline = TaskPipeline(_GivenPlacement(tasks), record_sink=records.append)
-        pipeline.on_validated = lambda at, txs: validated.append((at, txs))
+        pipeline.on_validated = lambda at, task_id: validated.append((at, task_id))
         # a peer takes in the same submissions from the pipeline's buffer
         peer_records, peer_validated = [], []
         peer = TaskPipeline(_GivenPlacement(tasks), record_sink=peer_records.append)
-        peer.on_validated = lambda at, txs: peer_validated.append((at, txs))
+        peer.on_validated = lambda at, task_id: peer_validated.append((at, task_id))
         pipeline.peers = [peer]
         submitted = 0
         for cut in sorted(cuts) + [6_000]:
             while submitted < len(tasks) and tasks[submitted][0] <= cut:
-                created, *_, has_tx = tasks[submitted]
-                # a transaction rides on a validation task; the region is the task's index
-                if has_tx:
-                    pipeline.submit(TaskKind.TRANSACTION_VALIDATION, 7, created, submitted, 0,
-                                    f"tx{submitted}")
-                else:
-                    pipeline.submit(TaskKind.SPATIAL_NAVIGATION, 7, created, submitted)
+                created, *_, validation = tasks[submitted]
+                # the region is the task's index
+                kind = (TaskKind.TRANSACTION_VALIDATION if validation
+                        else TaskKind.SPATIAL_NAVIGATION)
+                pipeline.submit(kind, 7, created, submitted)
                 submitted += 1
             pipeline.resolve(cut)
         # replay: FIFO per server in (arrival, submit index) order, one task at a time
@@ -353,16 +379,12 @@ class TestResolve:
             busy[server] = max(arrival, busy[server]) + service
             finished.append((busy[server] + down, busy[server], arrival, i))
         finished = sorted(f for f in finished if f[0] <= 6_000)
-        groups = {}
-        for finish, _, _, i in finished:
-            if tasks[i][5]:
-                groups.setdefault(finish, []).append(f"tx{i}")
         for p, p_records, p_validated in ((pipeline, records, validated),
                                           (peer, peer_records, peer_validated)):
             assert [(r.task_id, r.wait_us, r.total_us) for r in p_records] == [
                 (i, done - tasks[i][3] - arrival, finish - tasks[i][0])
                 for finish, done, arrival, i in finished]
-            assert p_validated == list(groups.items())
+            assert p_validated == [(finish, i) for finish, _, _, i in finished if tasks[i][5]]
             assert p.in_flight() == p.unfinished() == len(tasks) - len(finished)
 
     def test_a_held_task_goes_before_a_later_task_that_arrives_with_it(self):
@@ -382,7 +404,7 @@ class TestResolve:
         records, validated = [], []
         pipeline = TaskPipeline(_GivenPlacement([(100, 1, 500, 50, 5, True)]),
                                 record_sink=records.append)
-        pipeline.on_validated = lambda at, txs: validated.append((at, txs))
+        pipeline.on_validated = lambda at, task_id: validated.append((at, task_id))
 
         def state():
             return (pipeline.tasks_generated, pipeline.generated[:], pipeline.completed[:],
@@ -392,7 +414,7 @@ class TestResolve:
         fresh = state()
         pipeline.resolve(99)  # no submissions
         assert state() == fresh
-        pipeline.submit(TaskKind.TRANSACTION_VALIDATION, 7, 100, 0, 0, "tx0")
+        pipeline.submit(TaskKind.TRANSACTION_VALIDATION, 7, 100, 0)
         pipeline.resolve(599)  # the task reaches its server at 600
         taken = (1, [0, 0, 0, 1, 0], [0] * 5, 0, [0] * 4, 1, 1, [], [])
         assert state() == taken
@@ -400,7 +422,7 @@ class TestResolve:
         assert state() == taken
         pipeline.resolve(1_000)
         assert [(r.task_id, r.wait_us, r.total_us) for r in records] == [(0, 0, 555)]
-        assert validated == [(655, ["tx0"])]
+        assert validated == [(655, 0)]
         assert pipeline.in_flight() == pipeline.unfinished() == 0
 
 
@@ -445,16 +467,20 @@ class TestSweep:
         with pytest.raises(ConfigError, match="^sweep values: [42] is given more than once$"):
             sweep(SMALL, param, values, replications=1)
 
-    @pytest.mark.parametrize("param, values, message", [
-        ("user_count", [4, 2.5], "user_count 2.5 is not an integer"),
-        ("tx_rate", [1, 0], "tx_rate 0 is not > 0"),
-        ("tx_rate", [float("nan")], "tx_rate nan is not > 0"),
+    @pytest.mark.parametrize("param, values, message, replications", [
+        ("user_count", [4, 2.5], "values: user_count 2.5 is not an integer", 1),
+        ("tx_rate", [1, 0], "values: tx_rate 0 is not > 0", 1),
+        ("tx_rate", [float("nan")], "values: tx_rate nan is not > 0", 1),
+        ("user_count", [], "values: none given", 1),
+        ("user_count", [4], r"replications = 1\.5: must be integer >= 1", 1.5),
+        ("user_count", [4], "replications = True: must be integer >= 1", True),
+        ("user_count", [4], "replications = 0: must be integer >= 1", 0),
     ])
     def test_a_value_its_parameter_cannot_take_is_refused_before_any_scenario_runs(
-            self, param, values, message, monkeypatch):
+            self, param, values, message, replications, monkeypatch):
         monkeypatch.setattr(ScenarioRunner, "run", None)  # any run would raise TypeError
-        with pytest.raises(ConfigError, match=f"^sweep values: {message}$"):
-            sweep(SMALL, param, values, replications=1)
+        with pytest.raises(ConfigError, match=f"^sweep {message}$"):
+            sweep(SMALL, param, values, replications=replications)
 
     @pytest.mark.parametrize("parallel", [False, True])
     def test_a_failing_scenario_is_named_and_stays_a_config_error(self, parallel):
@@ -731,6 +757,8 @@ class TestCli:
         ("user_count", "4,4", "sweep values: 4 is given more than once"),
         ("user_count", "2.5", "'2.5'"),
         ("tx_rate", "0", "sweep values: tx_rate 0 is not > 0"),
+        ("user_count", "", "sweep values: none given"),
+        ("tx_rate", " , ", "sweep values: none given"),
     ])
     def test_bad_sweep_values_exit_2(self, param, values, bad, cfg_file, tmp_path, capsys):
         out = tmp_path / "x"
