@@ -5,10 +5,6 @@ class ConfigError(ValueError):
     """Invalid configuration: names the offending key/node and the constraint violated."""
 
 
-class TopologyError(ConfigError):
-    """Malformed network topology (orphans, cycles, missing link parameters, ...)."""
-
-
 class SimulationError(RuntimeError):
     """A contract violation inside a running simulation (logic bug, not bad input)."""
 

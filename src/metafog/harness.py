@@ -329,18 +329,15 @@ class ScenarioRunner:
                            self.streams[STREAM_MOVEMENT], self.radius)
 
         grid = self.grid
-        topo, devices, fogs = infra.build_user_topology(
+        self.topo = topo = infra.build_user_topology(
             [avatar.region for avatar in self.world.avatars], grid.regions_x, grid.regions_y,
             cfg["topology"])
-        self.topo = topo
-        self.home_fog_of_user = fogs
 
         self.engine = Engine()
         self.pipelines: dict[Policy, TaskPipeline] = {}
         self.chains: dict[Policy, Chain] = {}
         for pol in self.policies:
-            placement = Placement(pol, topo, wl["profiles"], devices,
-                                  grid.regions_x * grid.regions_y)
+            placement = Placement(pol, topo, wl["profiles"])
             pipeline = self.pipelines[pol] = TaskPipeline(placement, self.warmup_us, record_sink)
             chain = self.chains[pol] = Chain()
             pipeline.on_validated = partial(self._tx_validated, chain)
@@ -360,6 +357,11 @@ class ScenarioRunner:
 
         self._register_handlers()
         self._prime_events()
+
+    @property
+    def home_fog_of_user(self) -> list[str]:
+        """Each user's home fog id, the parent of its device; only the benchmark reads it."""
+        return [self.topo.node_ids[fog] for fog in self.topo.parent.take(self.topo.device)]
 
     # -- setup ------------------------------------------------------------
 

@@ -10,13 +10,13 @@ waiting time rather than loss.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import NamedTuple
 
 import numpy as np
 
 from .engine import ceil_div, ms_to_us
-from .errors import TopologyError
 
 
 class Tier(IntEnum):
@@ -26,58 +26,28 @@ class Tier(IntEnum):
     CLOUD_SERVER = 3
 
 
+@dataclass(eq=False)
 class Topology:
-    """A validated tree, held as per-node columns indexed like node_ids.
+    """The scenario tree, held as per-node columns in the builder's row order.
 
-    node_ids is in the order given. The int64 columns are, per node: tier;
-    parent, the index of its parent, the cloud being its own parent;
-    capacity in MIPS; and uplink_us and uplink_mbps, the propagation delay
-    and bandwidth of the link to its parent, 0 at the cloud. edges_by_region
-    maps a region index to the indexes of its edge servers in the order of
-    their ids as strings. cloud is the cloud's index.
-
-    Topology(ids, tier, parent, capacity, uplink_us, uplink_mbps, region)
-    takes the columns in any node order: parent indexes that order, -1 for
-    none, and region is each edge server's region index, -1 at other nodes.
-    It checks them and raises TopologyError naming the offending node: ids
-    are unique, capacities positive, there is exactly one cloud, it has no
-    parent and every other node has one, one tier up, over a link with a
-    delay >= 0 and a bandwidth > 0, and every edge server carries a region.
+    node_ids names each row. The int64 columns are, per node: tier; parent,
+    the row of its parent, the cloud (row 0) being its own parent; capacity
+    in MIPS; and uplink_us and uplink_mbps, the propagation delay and
+    bandwidth of the link to its parent, 0 at the cloud. edges holds the
+    edge rows of each region, (regions x edges_per_region), in the order of
+    their ids as strings; device holds user u's device row.
     """
 
-    def __init__(self, ids: list[str], tier, parent, capacity, uplink_us, uplink_mbps, region):
-        self.node_ids = ids
-        if len(set(ids)) < len(ids):
-            twice = next(node_id for node_id in ids if ids.count(node_id) > 1)
-            raise TopologyError(f"duplicate node id {twice!r}")
-        tier, parent, capacity, uplink_us, uplink_mbps, region = (
-            np.array(column, dtype=np.int64)
-            for column in (tier, parent, capacity, uplink_us, uplink_mbps, region))
-        if (i := _first(capacity <= 0)) is not None:
-            raise TopologyError(f"node {ids[i]!r}: capacity must be > 0")
-        clouds = np.flatnonzero(tier == Tier.CLOUD_SERVER)
-        if clouds.size != 1:
-            raise TopologyError(f"expected exactly one cloud node, found {clouds.size}")
-        cloud = int(clouds[0])
-        if parent[cloud] >= 0:
-            raise TopologyError(f"cloud node {ids[cloud]!r} must have no parent")
-        parent[cloud] = cloud
-        if (i := _first(parent < 0)) is not None:
-            raise TopologyError(f"node {ids[i]!r} is an orphan (no parent link)")
-        for bad, message in (((uplink_us < 0) | (uplink_mbps <= 0), "bad parameters"),
-                             (tier.take(parent) != tier + 1, "does not connect adjacent tiers")):
-            bad[cloud] = False
-            if (i := _first(bad)) is not None:
-                raise TopologyError(f"link {ids[i]!r}-{ids[parent[i]]!r}: {message}")
-        self.edges_by_region: dict[int, list[int]] = {}
-        for i in sorted(np.flatnonzero(tier == Tier.EDGE_SERVER).tolist(), key=ids.__getitem__):
-            if region[i] < 0:
-                raise TopologyError(f"edge server {ids[i]!r} has no region")
-            self.edges_by_region.setdefault(int(region[i]), []).append(i)
-        self.tier, self.parent, self.capacity = tier, parent, capacity
-        self.uplink_us, self.uplink_mbps = uplink_us, uplink_mbps
-        self.cloud = cloud
-        self._to_cloud: dict[int, np.ndarray] = {}
+    node_ids: list[str]
+    tier: np.ndarray
+    parent: np.ndarray
+    capacity: np.ndarray
+    uplink_us: np.ndarray
+    uplink_mbps: np.ndarray
+    edges: np.ndarray
+    device: np.ndarray
+    _to_cloud: dict = field(default_factory=dict, init=False, repr=False)
+    cloud = 0
 
     def transfer_to_cloud_us(self, payload_bytes: int) -> np.ndarray:
         """One-way transfer time of every node's path to the cloud, indexed like node_ids.
@@ -95,12 +65,6 @@ class Topology:
             up = self.parent
             cost = self._to_cloud[payload_bytes] = hop + hop.take(up) + hop.take(up.take(up))
         return cost
-
-
-def _first(mask: np.ndarray) -> int | None:
-    """Index of the first true entry, None if there is none."""
-    hits = np.flatnonzero(mask)
-    return int(hits[0]) if hits.size else None
 
 
 def service_time_us(length_mi, capacity_mips):
@@ -176,7 +140,7 @@ def build_user_topology(
     regions_x: int,
     regions_y: int,
     topology_cfg: dict,
-) -> tuple[Topology, np.ndarray, list[str]]:
+) -> Topology:
     """Build the scenario topology for a concrete user population.
 
     topology_cfg is the validated "topology" section of a config: per-tier
@@ -188,9 +152,8 @@ def build_user_topology(
     they were created. Every region gets its edge servers whether or not
     users start there. The nodes are rows of columns, filled tier by tier
     from the config: the cloud, the edges, the fogs, regions in index order,
-    and the devices, so user u's device is row 1 + edges + fogs + u.
-
-    Returns (topology, device index per user, home fog id per user).
+    and the devices, so user u's device is row 1 + edges + fogs + u. The
+    config is trusted: the tree is well formed by construction.
     """
     edges_per_region = topology_cfg["edges_per_region"]
     devices_per_fog = topology_cfg["devices_per_fog"]
@@ -205,6 +168,8 @@ def build_user_topology(
     n_edges = n_regions * edges_per_region
     suffixes = [""] if edges_per_region == 1 else [f"-{k}" for k in range(edges_per_region)]
     edge_ids = [f"edge-{name}{suffix}" for name in names for suffix in suffixes]
+    by_id = sorted(range(edges_per_region), key=suffixes.__getitem__)  # edge-0-0-10 < edge-0-0-2
+    edges = 1 + np.arange(n_edges).reshape(n_regions, edges_per_region)[:, by_id]
     home = np.array(user_regions, dtype=np.int64)
     # A region's members, in user order, fill its fogs devices_per_fog at a time.
     members = np.bincount(home, minlength=n_regions)
@@ -224,11 +189,8 @@ def build_user_topology(
 
     tier = np.repeat([Tier.CLOUD_SERVER, Tier.EDGE_SERVER, Tier.FOG_SERVER, Tier.END_DEVICE],
                      [1, n_edges, len(fog_ids), n_users])
-    parent = np.concatenate([[-1], np.zeros(n_edges, dtype=np.int64), fog_parent,
+    parent = np.concatenate([np.zeros(1 + n_edges, dtype=np.int64), fog_parent,
                              1 + n_edges + fog_of])
-    region = np.concatenate([[-1], np.repeat(np.arange(n_regions), edges_per_region),
-                             np.full(len(fog_ids) + n_users, -1)])
-    topo = Topology(["cloud", *edge_ids, *fog_ids, *(f"dev-{u}" for u in range(n_users))],
-                    tier, parent, mips.take(tier), delay.take(tier), mbps.take(tier), region)
-    devices = 1 + n_edges + len(fog_ids) + np.arange(n_users)
-    return topo, devices, list(map(fog_ids.__getitem__, fog_of.tolist()))
+    return Topology(["cloud", *edge_ids, *fog_ids, *(f"dev-{u}" for u in range(n_users))],
+                    tier, parent, mips.take(tier), delay.take(tier), mbps.take(tier), edges,
+                    1 + n_edges + len(fog_ids) + np.arange(n_users))

@@ -71,6 +71,11 @@ def _value_from_str(text: str):
     return int(text) if text.lstrip("-").isdigit() else float(text)
 
 
+# The columns a scenario's rows share, and how each is read.
+_SCENARIO_COLUMNS = {"policy": str, "param": str, "value": _value_from_str, "replication": int,
+                     "seed": int, "config_digest": str}
+
+
 def _field(path, line: int, row: dict, column: str, parse=str):
     """One field of a results.csv row, parsed; a ConfigError names what is wrong with it."""
     text = row[column]  # None when the row is short
@@ -89,7 +94,8 @@ def parse_results_csv(path: str | Path) -> list[ScenarioResult]:
 
     A missing column, or a field that is missing or does not parse, is a
     ConfigError that names the file, the row (the header is row 1) and the
-    column; so is a latency <= 0.
+    column; so is a latency <= 0, a kind given twice for a scenario, and a
+    scenario column that differs from the scenario's first row.
     """
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -105,21 +111,18 @@ def parse_results_csv(path: str | Path) -> list[ScenarioResult]:
     for line, row in rows:
         field = partial(_field, path, line, row)
         key = field("scenario")
-        result = by_scenario.get(key)
-        if result is None:
-            result = ScenarioResult(
-                scenario_id=key,
-                policy=field("policy"),
-                param=field("param"),
-                value=field("value", _value_from_str),
-                replication=field("replication", int),
-                seed=field("seed", int),
-                config_digest=field("config_digest"),
-                stats={},
-            )
-            by_scenario[key] = result
-        result.stats[field("kind")] = KindStats(field("count", int), *(
+        given = {column: field(column, parse) for column, parse in _SCENARIO_COLUMNS.items()}
+        kind = field("kind")
+        stats = KindStats(field("count", int), *(
             field(f"{stat}_ms", _latency_us) for stat in ("mean", "p50", "p95", "p99")))
+        result = by_scenario.setdefault(key, ScenarioResult(key, **given, stats={}))
+        for column, value in given.items():
+            if value != getattr(result, column):
+                raise ConfigError(f"{path}: row {line}, column {column!r}: {row[column]!r} "
+                                  "differs from the scenario's first row")
+        if kind in result.stats:
+            raise ConfigError(f"{path}: row {line}, column 'kind': {kind!r} given twice")
+        result.stats[kind] = stats
     return list(by_scenario.values())
 
 

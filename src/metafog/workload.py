@@ -12,12 +12,11 @@ per topology and policy.
 
 from __future__ import annotations
 
-import math
 from enum import Enum, IntEnum
 
 import numpy as np
 
-from .errors import ConfigError, TopologyError
+from .errors import ConfigError
 from .infrastructure import Topology, service_time_us
 
 SYSTEM_OWNER = -1  # owner of world-level tasks (universe simulation)
@@ -59,14 +58,14 @@ class Policy(str, Enum):
 class Placement:
     """Server, transfers and service time of every task under one policy, as arrays.
 
-    Built at set-up from the topology's columns and each owner's device
-    index; its home fog and that fog's edge are the device's parent and
-    grandparent. There is one server table for the avatar kinds, indexed by
-    the owner: its home fog under FogEdge. One for the region-bound kinds,
-    indexed by (region index, owner mod the edges of a region): under
-    FogEdge, each of the n_regions regions' edge servers round-robin in id
-    order. And one entry, the cloud, for universe simulation. CloudOnly puts
-    the cloud in every entry.
+    Built at set-up from the topology's columns; an owner's home fog and
+    that fog's edge are its device's parent and grandparent. There is one
+    server table for the avatar kinds, indexed by the owner: its home fog
+    under FogEdge. One for the region-bound kinds, indexed by (region index,
+    owner mod the edges of a region): under FogEdge, each region's edge
+    servers round-robin in id order, the rows of topo.edges. And one entry,
+    the cloud, for universe simulation. CloudOnly puts the cloud in every
+    entry.
 
     Every server is on the owner's path to the cloud, or is an edge or the
     cloud, so a transfer is the difference of two per-node costs to the cloud
@@ -77,27 +76,19 @@ class Placement:
     and take for every lookup.
     """
 
-    def __init__(self, policy: Policy, topo: Topology, profiles: dict, device_of_user,
-                 n_regions: int):
+    def __init__(self, policy: Policy, topo: Topology, profiles: dict):
         self.policy = policy
         self.node_ids = topo.node_ids
         self.capacity = topo.capacity
         # Per owner: its device and the two nodes above it; the last entry
         # stands for SYSTEM_OWNER (index -1), whose tasks start at the cloud.
-        self._device = np.array([*device_of_user, topo.cloud], dtype=np.int64)
+        self._device = np.append(topo.device, topo.cloud)
         self._above = topo.parent.take(self._device)
         self._above2 = topo.parent.take(self._above)
-        self._k = math.lcm(*map(len, topo.edges_by_region.values()))
-        users, slots = len(device_of_user), n_regions * self._k
+        self._k = topo.edges.shape[1]
+        users, slots = topo.device.size, topo.edges.size
         if policy is Policy.FOG_EDGE:
-            by_region = []
-            for r in range(n_regions):
-                edges = topo.edges_by_region.get(r)
-                if edges is None:
-                    raise TopologyError(f"region {r} has no edge server")
-                by_region += edges * (self._k // len(edges))  # slot j: edges[j % len(edges)]
-            self._server = np.concatenate([self._above[:users], np.array(by_region, dtype=np.int64),
-                                           [topo.cloud]])
+            self._server = np.concatenate([self._above[:users], topo.edges.ravel(), [topo.cloud]])
         else:
             self._server = np.full(users + slots + 1, topo.cloud)
         self._scope = np.array([0 if k in AVATAR_KINDS else 1 if k in REGION_KINDS else 2

@@ -4,14 +4,15 @@ The package holds a topology as per-node columns and places tasks by table
 lookup. This module keeps the object-level forms they replace, written link
 by link: the tree as NetworkNode and Link objects, the scenario builder that
 made them, the unique tree path between two nodes, the transfer time over a
-route and the placement function. Tests hold the columns and the tables
-against them, and build hand-made trees through topology_of.
+route and the placement function. Tests hold the builder's columns and the
+placement tables against them; path, transfer time and placement read a
+built Topology node by node.
 """
 
 from dataclasses import dataclass
 
 from metafog.engine import ceil_div, ms_to_us
-from metafog.errors import ConfigError, TopologyError
+from metafog.errors import ConfigError
 from metafog.infrastructure import Tier, Topology
 from metafog.workload import AVATAR_KINDS, KIND_LABELS, REGION_KINDS, Policy, TaskKind
 
@@ -31,24 +32,6 @@ class Link:
     parent: str
     propagation_us: int
     bandwidth_mbps: int
-
-
-def topology_of(nodes: list[NetworkNode], links: list[Link]) -> Topology:
-    """The Topology of a hand-built tree, in node order.
-
-    Each node's parent, delay and bandwidth come from the link whose child it
-    is; a node that no link names as child has no parent. The parent fields
-    of the nodes are not read, and a region of None is passed as -1.
-    """
-    index = {n.id: i for i, n in enumerate(nodes)}
-    parent, delay, mbps = [-1] * len(nodes), [0] * len(nodes), [0] * len(nodes)
-    for link in links:
-        child = index[link.child]
-        parent[child] = index[link.parent]
-        delay[child], mbps[child] = link.propagation_us, link.bandwidth_mbps
-    return Topology([n.id for n in nodes], [n.tier for n in nodes], parent,
-                    [n.capacity_mips for n in nodes], delay, mbps,
-                    [-1 if n.region is None else n.region for n in nodes])
 
 
 def reference_topology(user_regions: list[int], regions_x: int, regions_y: int,
@@ -108,12 +91,17 @@ def reference_topology(user_regions: list[int], regions_x: int, regions_y: int,
 
 def nodes_by_id(topo: Topology) -> dict[str, NetworkNode]:
     """Every node of a topology as a NetworkNode, by id."""
-    region_by_edge = {edge: region for region, edges in topo.edges_by_region.items()
+    region_by_edge = {edge: region for region, edges in enumerate(topo.edges.tolist())
                       for edge in edges}
     return {node_id: NetworkNode(node_id, Tier(int(topo.tier[i])), int(topo.capacity[i]),
                                  region_by_edge.get(i),
                                  None if i == topo.cloud else topo.node_ids[topo.parent[i]])
             for i, node_id in enumerate(topo.node_ids)}
+
+
+def home_fogs(topo: Topology) -> list[str]:
+    """Each user's home fog id: the parent of its device."""
+    return [topo.node_ids[topo.parent[device]] for device in topo.device]
 
 
 def uplink(topo: Topology, i: int) -> Link:
@@ -131,7 +119,7 @@ def _chain(topo: Topology, node_id: str) -> list[int]:
     """The node's index and those of every node above it, the cloud last."""
     index = {n: i for i, n in enumerate(topo.node_ids)}
     if node_id not in index:
-        raise TopologyError(f"unknown node id {node_id!r}")
+        raise ValueError(f"unknown node id {node_id!r}")
     chain = [index[node_id]]
     while chain[-1] != topo.cloud:
         chain.append(int(topo.parent[chain[-1]]))
@@ -183,7 +171,5 @@ def place(kind: TaskKind, policy: Policy, topo: Topology, home_fog: str | None =
         if region is None:
             raise ConfigError(f"{KIND_LABELS[kind]} task carries no region")
         edges = sorted(n.id for n in nodes_by_id(topo).values() if n.region == region)
-        if not edges:
-            raise TopologyError(f"region {region} has no edge server")
         return edges[owner % len(edges)]
     return cloud_id  # universe simulation

@@ -16,14 +16,13 @@ import pytest
 from metafog.config import resolve_config
 from metafog.engine import RngStream
 from metafog.harness import TaskPipeline, run_scenario, sweep
-from metafog.infrastructure import Tier
+from metafog.infrastructure import build_user_topology
 from metafog.ledger import Chain, Transaction
 from metafog.reporting import emit
 from metafog.stats import latency_reduction
 from metafog.workload import Placement, Policy, TaskKind
 from metafog.world import World, WorldGrid
 from mm1_harness import simulate_mm1
-from placement_oracle import Link, NetworkNode, topology_of
 
 REPLICATIONS = 3
 SEEDS = tuple(42 + r for r in range(REPLICATIONS))
@@ -151,9 +150,10 @@ def test_criterion_4_mm1_queueing_oracle():
 def test_criterion_5_hand_trace_oracle():
     """Two users, three tasks on a minimal chain reproduce the hand computation.
 
-    Topology: dev-0, dev-1 -> fog-0 (4000 MIPS) -> edge-0-0 (20000 MIPS)
-    -> cloud (100000 MIPS); links dev-fog 2 ms / 100 Mbps, fog-edge
-    5 ms / 1000 Mbps, edge-cloud 30 ms / 10000 Mbps.
+    Topology: the builder's one-region tree for two users, dev-0 and dev-1
+    -> fog-0-0-0 (4000 MIPS) -> edge-0-0 (20000 MIPS) -> cloud (100000 MIPS);
+    links dev-fog 2 ms / 100 Mbps, fog-edge 5 ms / 1000 Mbps, edge-cloud
+    30 ms / 10000 Mbps.
 
     T0 nav user0, 50 MI, 2000 B up / 1000 B down, created 0, on the fog:
        uplink   = 2000 + ceil(16000/100) = 2160
@@ -166,27 +166,16 @@ def test_criterion_5_hand_trace_oracle():
        wait     = 0, service = ceil(30e6/20000) = 1500
        downlink = 7088                                   total 15676
     """
-    nodes = [
-        NetworkNode("cloud", Tier.CLOUD_SERVER, 100_000),
-        NetworkNode("edge-0-0", Tier.EDGE_SERVER, 20_000, 0),
-        NetworkNode("fog-0", Tier.FOG_SERVER, 4_000),
-        NetworkNode("dev-0", Tier.END_DEVICE, 500),
-        NetworkNode("dev-1", Tier.END_DEVICE, 500),
-    ]
-    links = [
-        Link("edge-0-0", "cloud", 30_000, 10_000),
-        Link("fog-0", "edge-0-0", 5_000, 1_000),
-        Link("dev-0", "fog-0", 2_000, 100),
-        Link("dev-1", "fog-0", 2_000, 100),
-    ]
-    topo = topology_of(nodes, links)
+    topo = build_user_topology([0, 0], 1, 1, resolve_config({"topology": {
+        "fog_mips": 4_000, "devices_per_fog": 2,
+        "links": {"edge_cloud": {"propagation_ms": 30.0}}}})["topology"])
+    assert [topo.node_ids[i] for i in topo.parent.take(topo.device)] == ["fog-0-0-0"] * 2
     profiles = {
         **resolve_config(None)["workload"]["profiles"],
         "spatial_navigation": {"length_mi": 50, "upload_bytes": 2_000, "download_bytes": 1_000},
         "social_interaction": {"length_mi": 30, "upload_bytes": 1_000, "download_bytes": 1_000},
     }
-    devices = [topo.node_ids.index("dev-0"), topo.node_ids.index("dev-1")]
-    placement = Placement(Policy.FOG_EDGE, topo, profiles, devices, 1)
+    placement = Placement(Policy.FOG_EDGE, topo, profiles)
     records = []
     pipeline = TaskPipeline(placement, record_sink=records.append)
     pipeline.submit(TaskKind.SPATIAL_NAVIGATION, 0, 0)  # task ids are submit indexes

@@ -349,15 +349,23 @@ class TestResolve:
         with patch.object(harness, "WINDOW_US", 1_000):
             self.check_against_replay(tasks, cuts)
 
+    @settings(max_examples=150, deadline=None)
+    @given(tasks=st.lists(_TASK, max_size=50), cuts=st.lists(st.integers(0, 6_000), max_size=5))
+    def test_validations_without_a_record_sink_match_the_replay(self, tasks, cuts):
+        # Without a sink, _emit puts only the validation rows in finish order.
+        self.check_against_replay(tasks, cuts, sink=False)
+
     @staticmethod
-    def check_against_replay(tasks, cuts):
+    def check_against_replay(tasks, cuts, sink=True):
         tasks = sorted(tasks)  # submitted as generated: in creation order
         records, validated = [], []
-        pipeline = TaskPipeline(_GivenPlacement(tasks), record_sink=records.append)
+        pipeline = TaskPipeline(_GivenPlacement(tasks),
+                                record_sink=records.append if sink else None)
         pipeline.on_validated = lambda at, task_id: validated.append((at, task_id))
         # a peer takes in the same submissions from the pipeline's buffer
         peer_records, peer_validated = [], []
-        peer = TaskPipeline(_GivenPlacement(tasks), record_sink=peer_records.append)
+        peer = TaskPipeline(_GivenPlacement(tasks),
+                            record_sink=peer_records.append if sink else None)
         peer.on_validated = lambda at, task_id: peer_validated.append((at, task_id))
         pipeline.peers = [peer]
         submitted = 0
@@ -383,7 +391,7 @@ class TestResolve:
                                           (peer, peer_records, peer_validated)):
             assert [(r.task_id, r.wait_us, r.total_us) for r in p_records] == [
                 (i, done - tasks[i][3] - arrival, finish - tasks[i][0])
-                for finish, done, arrival, i in finished]
+                for finish, done, arrival, i in finished if sink]
             assert p_validated == [(finish, i) for finish, _, _, i in finished if tasks[i][5]]
             assert p.in_flight() == p.unfinished() == len(tasks) - len(finished)
 
@@ -605,6 +613,37 @@ class TestEmission:
             assert (p.policy, p.param, p.value, p.replication, p.seed, p.config_digest) == \
                    (r.policy, r.param, r.value, r.replication, r.seed, r.config_digest)
             assert p.stats == r.stats
+
+    @staticmethod
+    def written(results, path):
+        """results.csv of the results, split into rows of fields; the header is rows[0]."""
+        write_results_csv(results, path)
+        return [line.split(",") for line in path.read_text().splitlines()]
+
+    def test_a_kind_given_twice_for_a_scenario_is_refused(self, results, tmp_path):
+        # a second (scenario, overall) row would replace the first one's stats
+        path = tmp_path / "results.csv"
+        rows = self.written(results, path)
+        again = [*rows[1][:7], "999.000", *rows[1][8:]]
+        path.write_text("".join(",".join(row) + "\n" for row in [*rows, again]))
+        with pytest.raises(ConfigError, match="^" + re.escape(
+                f"{path}: row {len(rows) + 1}, column 'kind': 'overall' given twice")):
+            parse_results_csv(path)
+
+    @pytest.mark.parametrize("column, text", [
+        ("policy", "other"), ("param", "other"), ("value", "5"), ("replication", "1"),
+        ("seed", "7"), ("config_digest", "other")])
+    def test_a_row_that_disagrees_with_its_scenario_is_refused(self, results, tmp_path,
+                                                               column, text):
+        path = tmp_path / "results.csv"
+        rows = self.written(results, path)
+        assert rows[2][0] == rows[1][0]  # the first scenario's second kind
+        rows[2][rows[0].index(column)] = text
+        path.write_text("".join(",".join(row) + "\n" for row in rows))
+        with pytest.raises(ConfigError, match="^" + re.escape(
+                f"{path}: row 3, column {column!r}: {text!r} differs from the scenario's "
+                "first row")):
+            parse_results_csv(path)
 
     def test_rerun_emits_byte_identical_files(self, results, tmp_path):
         cfg = resolve_config(SMALL)

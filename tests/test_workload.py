@@ -9,8 +9,15 @@ from metafog.config import resolve_config
 from metafog.errors import ConfigError
 from metafog.harness import run_scenario
 from metafog.infrastructure import build_user_topology, service_time_us
-from metafog.workload import KIND_LABELS, SYSTEM_OWNER, Placement, Policy, TaskKind
-from placement_oracle import nodes_by_id, path, place, transfer_time
+from metafog.workload import (
+    KIND_LABELS,
+    REGION_KINDS,
+    SYSTEM_OWNER,
+    Placement,
+    Policy,
+    TaskKind,
+)
+from placement_oracle import home_fogs, nodes_by_id, path, place, transfer_time
 
 
 def small_cfg(**workload):
@@ -26,8 +33,8 @@ class TestPlacementTable:
         # one user, so one fog, in each of regions (0, 0) and (1, 1) of a 2 x 2 grid
         topology = resolve_config({"topology": {
             "fog_mips": 4_000, "links": {"edge_cloud": {"propagation_ms": 30.0}}}})["topology"]
-        self.topo, _, fogs = build_user_topology([0, 3], 2, 2, topology)
-        self.fog = fogs[0]
+        self.topo = build_user_topology([0, 3], 2, 2, topology)
+        self.fog = home_fogs(self.topo)[0]
 
     def place(self, kind, policy=Policy.FOG_EDGE, region=None):
         return place(kind, policy, self.topo, self.fog, region=region, owner=3)
@@ -67,7 +74,7 @@ _LINK = st.fixed_dictionaries({"propagation_ms": st.sampled_from([0.0, 0.5, 2.0,
 class TestPlacementArrays:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), regions_x=st.integers(1, 3), regions_y=st.integers(1, 3),
-           edges=st.integers(1, 3), devices_per_fog=st.integers(1, 3),
+           edges=st.sampled_from([1, 2, 3, 12]), devices_per_fog=st.integers(1, 3),
            links=st.tuples(_LINK, _LINK, _LINK))
     def test_apply_equals_place_transfer_and_service_task_by_task(
             self, data, regions_x, regions_y, edges, devices_per_fog, links):
@@ -77,7 +84,9 @@ class TestPlacementArrays:
                     "cloud_mips": 100_000, "edges_per_region": edges,
                     "devices_per_fog": devices_per_fog,
                     "links": dict(zip(("device_fog", "fog_edge", "edge_cloud"), links))}
-        topo, devices, fogs = build_user_topology(homes, regions_x, regions_y, topology)
+        # 12 edges a region: edge-R-10 and edge-R-11 sort before edge-R-2
+        topo = build_user_topology(homes, regions_x, regions_y, topology)
+        fogs = home_fogs(topo)
         profiles = resolve_config(None)["workload"]["profiles"]
         owner_of = st.integers(0, len(homes) - 1)
         tasks = data.draw(st.lists(st.tuples(
@@ -87,13 +96,13 @@ class TestPlacementArrays:
                   c if k == TaskKind.COLLISION_DETECTION else 0) for k, o, r, c in tasks]
         columns = [np.array(column, dtype=np.int64) for column in zip(*tasks)]
         for policy in Policy:
-            placement = Placement(policy, topo, profiles, devices, n_regions)
+            placement = Placement(policy, topo, profiles)
             got = list(zip(*(column.tolist() for column in placement.apply(*columns))))
             for (kind, owner, region, candidates), (server, up, service, down) in zip(tasks, got):
                 system = owner == SYSTEM_OWNER
                 node = place(kind, policy, topo, None if system else fogs[owner],
                              region=region, owner=owner)
-                source = topo.node_ids[topo.cloud if system else devices[owner]]
+                source = topo.node_ids[topo.cloud if system else topo.device[owner]]
                 profile = profiles[KIND_LABELS[kind]]
                 length = profile.get("length_mi", profile.get("base_length_mi"))
                 length += profile.get("per_neighbor_mi", 0) * candidates
@@ -101,6 +110,20 @@ class TestPlacementArrays:
                 assert up == transfer_time(profile["upload_bytes"], path(topo, source, node))
                 assert down == transfer_time(profile["download_bytes"], path(topo, node, source))
                 assert service == service_time_us(length, nodes_by_id(topo)[node].capacity_mips)
+
+
+    def test_region_tasks_go_round_robin_over_edges_in_id_order(self):
+        # 24 owners over 12 edges: owner 2 goes to edge-0-0-10, which sorts before edge-0-0-2
+        topology = {**resolve_config(None)["topology"], "edges_per_region": 12}
+        topo = build_user_topology([0] * 24, 1, 1, topology)
+        placement = Placement(Policy.FOG_EDGE, topo, resolve_config(None)["workload"]["profiles"])
+        owners, zeros = np.arange(24), np.zeros(24, dtype=np.int64)
+        for kind in REGION_KINDS:
+            server, *_ = placement.apply(np.full(24, kind), owners, zeros, zeros)
+            got = [topo.node_ids[s] for s in server.tolist()]
+            assert got == [place(kind, Policy.FOG_EDGE, topo, region=0, owner=o) for o in owners]
+            assert got[:4] == ["edge-0-0-0", "edge-0-0-1", "edge-0-0-10", "edge-0-0-11"]
+            assert got[12:] == got[:12]
 
 
 class TestTaskValidation:
