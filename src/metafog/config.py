@@ -1,9 +1,10 @@
 """Configuration: defaults, exhaustive validation, canonical digest.
 
-The config is a JSON document with five sections (world, topology, workload,
-ledger, experiment). Validation is strict: unknown sections or keys are hard
-errors, every value is type- and range-checked, and the error message names
-the offending key path and the constraint it violated. Silent defaults and
+The config is a JSON object with five sections (world, topology, workload,
+ledger, experiment), resolved in one walk over the defaults into a new config
+that shares no section or list with them or the caller. Validation is strict:
+unknown keys are hard errors, every value is type- and range-checked, and the
+error names the key path and the constraint it violated. Silent defaults and
 ignored typos are how simulation results stop being reproducible.
 """
 
@@ -155,68 +156,53 @@ _CHECKS = {
     "experiment.base_seed": (lambda v: _is_int(v) and 0 <= v < 2**64, "integer in [0, 2^64)"),
 }
 
-_LINK_CHECKS = {
+# Keys under topology.links.* and workload.profiles.* are checked by leaf name.
+_LEAF_CHECKS = {
     "propagation_ms": (_is_time, _TIME),
     "bandwidth_mbps": (lambda v: _is_scaled(v, 1, 1), _POSITIVE_INT),
-}
-
-_PROFILE_CHECKS = {
     "length_mi": (lambda v: _is_scaled(v, 10**6, 1), _LENGTH),
     "base_length_mi": (lambda v: _is_scaled(v, 10**6, 1), _LENGTH),
-    "per_neighbor_mi": (lambda v: _is_scaled(v, 10**6, 0),
-                        "integer >= 0 with MI * 10^6 <= 2^53"),
+    "per_neighbor_mi": (lambda v: _is_scaled(v, 10**6, 0), "integer >= 0 with MI * 10^6 <= 2^53"),
     "upload_bytes": (lambda v: _is_scaled(v, 8, 0), _BYTES),
     "download_bytes": (lambda v: _is_scaled(v, 8, 0), _BYTES),
     "period_ms": (lambda v: _is_time(v) and v > 0, _TIME_POSITIVE),
 }
 
 
-def _deep_merge(base: dict, override: dict, path: str) -> dict:
-    merged = dict(base)
-    for key, value in override.items():
-        here = f"{path}.{key}" if path else key
-        if key not in base:
-            raise ConfigError(f"unknown config key {here!r}")
-        if isinstance(base[key], dict):
+def _resolve(defaults: dict, given: dict, prefix: str) -> dict:
+    """A new section: each default, or the caller's value, checked; lists copied."""
+    for key in given:
+        if key not in defaults:
+            raise ConfigError(f"unknown config key {prefix + key!r}")
+    section = {}
+    for key, default in defaults.items():
+        here, value = prefix + key, given.get(key, default)
+        if isinstance(default, dict):
             if not isinstance(value, dict):
                 raise ConfigError(f"config key {here!r} must be a section (object)")
-            merged[key] = _deep_merge(base[key], value, here)
-        elif isinstance(value, dict):
-            raise ConfigError(f"config key {here!r} must be a value, not a section")
-        else:
-            merged[key] = value
-    return merged
-
-
-def _check_leaves(cfg: dict, checks: dict, path: str) -> None:
-    for key, value in cfg.items():
-        here = f"{path}.{key}" if path else key
+            section[key] = _resolve(default, value, here + ".")
+            continue
         if isinstance(value, dict):
-            _check_leaves(value, checks, here)
-            continue
-        check = checks.get(here)
-        if check is None:
-            # keys under links.*/profiles.* validate by leaf name
-            leaf = here.rsplit(".", 1)[-1]
-            check = _LINK_CHECKS.get(leaf) or _PROFILE_CHECKS.get(leaf)
-        if check is None:
-            continue
-        ok, constraint = check[0](value), check[1]
-        if not ok:
-            raise ConfigError(f"config key {here!r} = {value!r}: must be {constraint}")
+            raise ConfigError(f"config key {here!r} must be a value, not a section")
+        check = _CHECKS.get(here) or _LEAF_CHECKS.get(key)
+        if check is not None and not check[0](value):
+            raise ConfigError(f"config key {here!r} = {value!r}: must be {check[1]}")
+        section[key] = list(value) if isinstance(value, list) else value
+    return section
 
 
 def resolve_config(overrides: dict | None = None) -> dict:
     """Merge overrides into the defaults and validate everything.
 
-    Returns a fresh, fully-populated config dict. Raises ConfigError naming
-    the bad key and the constraint it violates.
+    None selects every default. Returns a new, fully-populated config dict
+    that shares no section or list with the defaults or the overrides.
+    Raises ConfigError naming the bad key and the constraint it violates: of
+    several faults, the first in the defaults' order.
     """
-    overrides = overrides or {}
+    overrides = {} if overrides is None else overrides
     if not isinstance(overrides, dict):
         raise ConfigError("config root must be an object")
-    cfg = _deep_merge(DEFAULTS, overrides, "")
-    _check_leaves(cfg, _CHECKS, "")
+    cfg = _resolve(DEFAULTS, overrides, "")
 
     world = cfg["world"]
     sides = [world[side] / world["cell"] for side in ("width", "height")]
@@ -266,6 +252,8 @@ def load_config(path: str | Path) -> dict:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):  # null too: only an object selects the defaults it omits
+        raise ConfigError(f"config file {path}: config root must be an object")
     return resolve_config(data)
 
 

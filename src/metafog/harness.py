@@ -22,7 +22,6 @@ produce identical output.
 
 from __future__ import annotations
 
-import json
 import struct
 from dataclasses import dataclass, field
 from functools import partial
@@ -568,16 +567,14 @@ SWEEP_PARAMS = ("user_count", "tx_rate")
 
 
 def _scenario_overrides(cfg: dict, param: str, value) -> dict:
-    """Per-scenario config with the swept parameter applied."""
-    scenario_cfg = json.loads(json.dumps(cfg))  # deep copy, JSON-typed by construction
+    """Per-scenario config with the swept parameter applied; the worker's
+    resolve_config copies the sections it shares with cfg."""
+    workload = dict(cfg["workload"])
     if param == "user_count":
-        scenario_cfg["workload"]["user_count"] = int(value)
-    else:
-        # tx_rate: the swept value is the aggregate transaction arrival rate
-        # per second, spread uniformly over the fixed user population
-        users = scenario_cfg["workload"]["user_count"]
-        scenario_cfg["workload"]["tx_rate_per_user_per_s"] = value / users
-    return scenario_cfg
+        workload["user_count"] = int(value)
+    else:  # the aggregate transaction rate per second, spread over the fixed users
+        workload["tx_rate_per_user_per_s"] = value / workload["user_count"]
+    return {**cfg, "workload": workload}
 
 
 def _sweep_worker(job: tuple) -> list[ScenarioResult]:

@@ -10,7 +10,7 @@ waiting time rather than loss.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 from typing import NamedTuple
 
@@ -28,14 +28,15 @@ class Tier(IntEnum):
 
 @dataclass(eq=False)
 class Topology:
-    """The scenario tree, held as per-node columns in the builder's row order.
+    """The scenario tree: a plain record of per-node columns in the builder's row order.
 
     node_ids names each row. The int64 columns are, per node: tier; parent,
     the row of its parent, the cloud (row 0) being its own parent; capacity
     in MIPS; and uplink_us and uplink_mbps, the propagation delay and
     bandwidth of the link to its parent, 0 at the cloud. edges holds the
     edge rows of each region, (regions x edges_per_region), in the order of
-    their ids as strings; device holds user u's device row.
+    their ids as strings; device holds user u's device row. Nothing is
+    cached on it: transfer_to_cloud_us computes its costs on every call.
     """
 
     node_ids: list[str]
@@ -46,7 +47,6 @@ class Topology:
     uplink_mbps: np.ndarray
     edges: np.ndarray
     device: np.ndarray
-    _to_cloud: dict = field(default_factory=dict, init=False, repr=False)
     cloud = 0
 
     def transfer_to_cloud_us(self, payload_bytes: int) -> np.ndarray:
@@ -58,13 +58,10 @@ class Topology:
         no node is more than three hops below it, so a node's cost is its
         hop, its parent's and its grandparent's.
         """
-        cost = self._to_cloud.get(payload_bytes)
-        if cost is None:
-            hop = self.uplink_us + ceil_div(payload_bytes * 8, np.maximum(self.uplink_mbps, 1))
-            hop[self.cloud] = 0
-            up = self.parent
-            cost = self._to_cloud[payload_bytes] = hop + hop.take(up) + hop.take(up.take(up))
-        return cost
+        hop = self.uplink_us + ceil_div(payload_bytes * 8, np.maximum(self.uplink_mbps, 1))
+        hop[self.cloud] = 0
+        up = self.parent
+        return hop + hop.take(up) + hop.take(up.take(up))
 
 
 def service_time_us(length_mi, capacity_mips):

@@ -43,9 +43,18 @@ def _ms_str_to_us(text: str) -> int | None:
     return int(text.replace(".", ""))
 
 
-def _latency_us(text: str) -> int | None:
-    """A results.csv latency: empty, or above 0 ms, since every task takes 1 us or more."""
+def _count(text: str) -> int:
+    """A results.csv count: an integer >= 0, in digits only, as write_results_csv writes it."""
+    if not (text.isascii() and text.isdigit()):
+        raise ConfigError(f"{text!r} is not a count >= 0")
+    return int(text)
+
+
+def _latency_us(count: int, text: str) -> int | None:
+    """A results.csv latency of count tasks: empty if none, else > 0 ms (each takes >= 1 us)."""
     us = _ms_str_to_us(text)
+    if (us is None) != (count == 0):
+        raise ConfigError(f"{text!r} disagrees with count {count}")
     if us is not None and us <= 0:
         raise ConfigError(f"{text!r} is not a latency > 0")
     return us
@@ -94,7 +103,8 @@ def parse_results_csv(path: str | Path) -> list[ScenarioResult]:
 
     A missing column, or a field that is missing or does not parse, is a
     ConfigError that names the file, the row (the header is row 1) and the
-    column; so is a latency <= 0, a kind given twice for a scenario, and a
+    column; so is a count that is not an integer >= 0, a latency <= 0 or
+    one its count disagrees with, a kind given twice for a scenario, and a
     scenario column that differs from the scenario's first row.
     """
     with open(path, newline="") as fh:
@@ -113,8 +123,9 @@ def parse_results_csv(path: str | Path) -> list[ScenarioResult]:
         key = field("scenario")
         given = {column: field(column, parse) for column, parse in _SCENARIO_COLUMNS.items()}
         kind = field("kind")
-        stats = KindStats(field("count", int), *(
-            field(f"{stat}_ms", _latency_us) for stat in ("mean", "p50", "p95", "p99")))
+        count = field("count", _count)
+        stats = KindStats(count, *(field(f"{stat}_ms", partial(_latency_us, count))
+                                   for stat in ("mean", "p50", "p95", "p99")))
         result = by_scenario.setdefault(key, ScenarioResult(key, **given, stats={}))
         for column, value in given.items():
             if value != getattr(result, column):

@@ -95,9 +95,10 @@ class Placement:
                                 for k in TaskKind])
         self._offset = np.array([0, users, users + slots]).take(self._scope)
         labels = [profiles[label] for label in KIND_LABELS]
-        self._up, self._down = (
-            np.concatenate([topo.transfer_to_cloud_us(p[key]) for p in labels])
-            for key in ("upload_bytes", "download_bytes"))
+        payloads = {p[key] for p in labels for key in ("upload_bytes", "download_bytes")}
+        to_cloud = {size: topo.transfer_to_cloud_us(size) for size in payloads}
+        self._up, self._down = (np.concatenate([to_cloud[p[key]] for p in labels])
+                                for key in ("upload_bytes", "download_bytes"))
         self._length = np.array([p.get("length_mi", p.get("base_length_mi")) for p in labels])
         self._per_candidate = np.array([p.get("per_neighbor_mi", 0) for p in labels])
 

@@ -87,6 +87,60 @@ class TestConfig:
         with pytest.raises(ConfigError, match="JSON"):
             load_config(path)
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"world": 3}, "config key 'world' must be a section (object)"),
+        ({"topology": {"links": {"fog_edge": 5.0}}},
+         "config key 'topology.links.fog_edge' must be a section (object)"),
+        ({"world": {"width": {}}}, "config key 'world.width' must be a value, not a section"),
+        ({"experiment": {"user_count_sweep": {"a": 1}}},
+         "config key 'experiment.user_count_sweep' must be a value, not a section"),
+        ([1], "config root must be an object"),
+        ({"topology": {"links": {"fog_cloud": {}}}},
+         "unknown config key 'topology.links.fog_cloud'"),
+        ({"workload": {"profiles": {"teleport": {"length_mi": 5}}}},
+         "unknown config key 'workload.profiles.teleport'"),
+        ({"workload": {"profiles": {"social_interaction": {"period_ms": 5.0}}}},
+         "unknown config key 'workload.profiles.social_interaction.period_ms'"),
+    ])
+    def test_each_structural_fault_has_its_message(self, overrides, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            resolve_config(overrides)
+
+    @pytest.mark.parametrize("text", ["[]", "0", "false", '""', "null", "[1]", "3.5"])
+    def test_a_config_root_that_is_not_an_object_is_refused(self, text, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match="root must be an object"):
+            load_config(path)
+        if text != "null":  # resolve_config(None) selects every default
+            with pytest.raises(ConfigError, match="^config root must be an object$"):
+                resolve_config(json.loads(text))
+        assert cli_main(["run", "--config", str(path), "--policy", "cloud", "--seed", "1",
+                         "--out", str(tmp_path / "x")]) == 2
+        assert "root must be an object" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_a_resolved_config_is_fresh(self):
+        def containers(tree) -> set:
+            if isinstance(tree, dict):
+                return {id(tree)}.union(*(containers(v) for v in tree.values()))
+            return {id(tree)} if isinstance(tree, list) else set()
+
+        defaults, digest = json.dumps(DEFAULTS), config_digest(resolve_config(None))
+        given = {"workload": {"user_count": 7}, "experiment": {"tx_rate_sweep": [1, 2]}}
+        cfg = resolve_config(given)
+        cfg["world"]["width"] = 300.0  # a section the caller left alone
+        cfg["experiment"]["user_count_sweep"].append(2000)
+        cfg["experiment"]["tx_rate_sweep"].append(3)
+        assert json.dumps(DEFAULTS) == defaults
+        assert given == {"workload": {"user_count": 7}, "experiment": {"tx_rate_sweep": [1, 2]}}
+        again = resolve_config(None)
+        assert again["world"]["width"] == 1000.0
+        assert 2000 not in again["experiment"]["user_count_sweep"]
+        assert config_digest(again) == digest
+        trees = (DEFAULTS, given, cfg, again, resolve_config(None))
+        assert sum(len(containers(t)) for t in trees) == len(set().union(*map(containers, trees)))
+
 
 def _leaf_paths(section: dict, prefix: str = "") -> list[str]:
     paths = []
@@ -644,6 +698,41 @@ class TestEmission:
                 f"{path}: row 3, column {column!r}: {text!r} differs from the scenario's "
                 "first row")):
             parse_results_csv(path)
+
+    @pytest.mark.parametrize("edit, problem", [
+        ({"count": "-5"}, "column 'count': '-5' is not a count >= 0"),
+        ({"count": "2.0"}, "column 'count': '2.0' is not a count >= 0"),
+        ({"count": "+2"}, "column 'count': '+2' is not a count >= 0"),
+        ({"count": ""}, "column 'count': '' is not a count >= 0"),
+        ({"count": "0"}, "column 'mean_ms': '{mean_ms}' disagrees with count 0"),
+        ({"count": "0", "mean_ms": "", "p50_ms": "", "p95_ms": ""},
+         "column 'p99_ms': '{p99_ms}' disagrees with count 0"),
+        ({"p95_ms": ""}, "column 'p95_ms': '' disagrees with count {count}"),
+        ({"mean_ms": "", "p50_ms": "", "p95_ms": "", "p99_ms": ""},
+         "column 'mean_ms': '' disagrees with count {count}"),
+    ], ids=["negative", "float", "signed", "empty", "zero-with-latencies", "zero-with-p99",
+            "p95-missing", "latencies-missing"])
+    def test_a_count_its_latencies_disagree_with_is_refused(self, results, tmp_path, edit,
+                                                             problem):
+        path = tmp_path / "results.csv"
+        rows = self.written(results, path)
+        first = dict(zip(rows[0], rows[1]))
+        assert first["kind"] == "overall" and int(first["count"]) > 0
+        for column, text in edit.items():
+            rows[1][rows[0].index(column)] = text
+        path.write_text("".join(",".join(row) + "\n" for row in rows))
+        with pytest.raises(ConfigError, match="^" + re.escape(
+                f"{path}: row 2, {problem.format(**first)}") + "$"):
+            parse_results_csv(path)
+
+    def test_a_kind_with_no_records_round_trips_with_empty_latencies(self, results, tmp_path):
+        path = tmp_path / "results.csv"
+        rows = self.written(results, path)
+        rows[1][6:11] = ["0", "", "", "", ""]
+        path.write_text("".join(",".join(row) + "\n" for row in rows))
+        parsed = parse_results_csv(path)
+        assert parsed[0].scenario_id == rows[1][0]
+        assert parsed[0].stats["overall"] == (0, None, None, None, None)
 
     def test_rerun_emits_byte_identical_files(self, results, tmp_path):
         cfg = resolve_config(SMALL)

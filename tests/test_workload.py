@@ -112,6 +112,15 @@ class TestPlacementArrays:
                 assert service == service_time_us(length, nodes_by_id(topo)[node].capacity_mips)
 
 
+    def test_each_distinct_payload_is_costed_once(self):
+        cfg = resolve_config(None)
+        topo = build_user_topology([0, 1], 1, 2, cfg["topology"])
+        sizes = []
+        cost = topo.transfer_to_cloud_us
+        topo.transfer_to_cloud_us = lambda size: sizes.append(size) or cost(size)
+        Placement(Policy.FOG_EDGE, topo, cfg["workload"]["profiles"])
+        assert sorted(sizes) == [0, 500, 1000, 2000]  # of the ten upload and download sizes
+
     def test_region_tasks_go_round_robin_over_edges_in_id_order(self):
         # 24 owners over 12 edges: owner 2 goes to edge-0-0-10, which sorts before edge-0-0-2
         topology = {**resolve_config(None)["topology"], "edges_per_region": 12}
