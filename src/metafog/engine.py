@@ -64,11 +64,9 @@ class RngStream:
     other stream and of the platform.
     """
 
-    __slots__ = ("seed", "stream_id", "_rng")
+    __slots__ = ("_rng",)
 
     def __init__(self, seed: int, stream_id: str):
-        self.seed = seed
-        self.stream_id = stream_id
         digest = hashlib.sha256(f"{seed}:{stream_id}".encode("ascii")).digest()
         self._rng = random.Random(int.from_bytes(digest[:8], "big"))
 

@@ -13,11 +13,11 @@ order of its finish time, to the latency statistics and the record sink. The
 pipelines hold task rows only: each emitted validation task goes back to the
 runner as its (finish, task id), and the runner, which holds the
 transactions by task id, adds that one to the policy's chain. A pass emits
-all that finishes by its cutoff, so the cadence changes no output. The loop
-does not depend on the policy, so one generation feeds every policy of the
-run. Sweeps run one generation per (value, replication) for both policies
-and order results deterministically, so serial and parallel execution
-produce identical output.
+all that finishes by its cutoff from served runs sorted by finish, so the
+cadence changes no output. The loop does not depend on the policy, so one
+generation feeds every policy of the run. Sweeps run one generation per
+(value, replication) for both policies and order results deterministically,
+so serial and parallel execution produce identical output.
 """
 
 from __future__ import annotations
@@ -82,8 +82,6 @@ class ScenarioResult:
     chain: list[str] | None = None
 
 
-# The engine steps a window of simulated time; served tasks are bucketed by window.
-WINDOW_US = US_PER_S
 RESOLVE_ROWS = 2_000  # tasks buffered before a resolve pass, whose cost is largely fixed
 
 # Columns of a submitted task: its policy-free fields. REGION indexes the
@@ -112,9 +110,8 @@ class TaskPipeline:
     ones and both are in task-id order, so ties go by task id. It emits, in
     (finish, completion, arrival, task id) order, every task whose downlink
     lands by the cutoff; that is the order in which a per-task event loop
-    would finish them. Served tasks wait for emission in buckets keyed by
-    finish window, so a long backlog is never rescanned; a pass emits all
-    its due buckets together, however many windows its cutoff spans.
+    would finish them. Served tasks wait as one finish-sorted run per pass,
+    and a pass emits the prefix of each run that finishes by its cutoff.
     It holds no transaction: on_validated(finish, task id) is called once
     per emitted transaction-validation task, in emission order.
     """
@@ -123,16 +120,15 @@ class TaskPipeline:
         "placement", "warmup_us", "record_sink", "on_validated", "peers",
         "busy_until", "totals", "generated", "completed",
         "records_emitted", "tasks_generated",
-        "_buffer", "_held", "_buckets", "_shared",
+        "_buffer", "_held", "_served", "_shared",
     )
 
-    def __init__(self, placement: Placement, warmup_us: int = 0,
-                 record_sink: Callable | None = None):
+    def __init__(self, placement: Placement, on_validated: Callable[[int, int], None],
+                 warmup_us: int = 0, record_sink: Callable | None = None):
         self.placement = placement
+        self.on_validated = on_validated
         self.warmup_us = warmup_us
         self.record_sink = record_sink
-        # set by the runner: called (finish_us, task_id) per validation task, in emission order
-        self.on_validated = None
         self.peers: list[TaskPipeline] = []
         self.busy_until = np.zeros(len(placement.node_ids), dtype=np.int64)
         self.totals: list[list[np.ndarray]] = [[] for _ in TaskKind]  # post-warm-up latencies
@@ -142,7 +138,7 @@ class TaskPipeline:
         self.tasks_generated = 0  # taken in by resolve; the id of the next task taken in
         self._buffer: list[int] = []  # submitted since the last resolve, _SUBMITTED fields each
         self._held = np.empty((0, _PLACED), dtype=np.int64)  # placed, not yet arrived
-        self._buckets: dict[int, list[np.ndarray]] = {}  # served, by finish // WINDOW_US
+        self._served: list[np.ndarray] = []  # served, not yet emitted: runs sorted by finish
         self._shared: dict[int, int] = {}  # one int object per repeated record field value
 
     def submit(self, kind: int, owner: int, created_us: int, region: int = 0,
@@ -209,28 +205,26 @@ class TaskPipeline:
                 "config keys 'workload.profiles.*.length_mi' and 'topology.*_mips': service "
                 f"times queue past the int64 microsecond range ({exc})") from exc
         finish = done + rows[take, _DOWN]
-        key = finish // WINDOW_US
-        order = np.argsort(key, kind="stable")
+        order = np.argsort(finish, kind="stable")
         served = rows.take(take[order], axis=0)
         served[:, _DONE] = done[order]
         served[:, _FINISH] = finish[order]
-        key = key[order]
-        edges = [0, *(np.flatnonzero(key[1:] != key[:-1]) + 1).tolist(), take.size]
-        for lo, hi, k in zip(edges, edges[1:], key[edges[:-1]].tolist()):
-            self._buckets.setdefault(k, []).append(served[lo:hi])
+        self._served.append(served)
 
     def _emit_due(self, cutoff_us: int) -> None:
-        """Emit the due buckets at once; only the cutoff's own bucket can hold late rows."""
-        last = cutoff_us // WINDOW_US
-        due = [part for k in [*self._buckets] if k <= last for part in self._buckets.pop(k)]
-        if not due:
-            return
-        rows = np.concatenate(due)
-        late = rows[:, _FINISH] > cutoff_us
-        if late.any():
-            self._buckets[last] = [rows.compress(late, axis=0)]
-            rows = rows.compress(~late, axis=0)
-        self._emit(rows)
+        """Emit the prefix of each run that finishes by the cutoff; keep the rest."""
+        due, kept = [], []
+        for run in self._served:
+            if run[0, _FINISH] > cutoff_us:
+                kept.append(run)
+                continue
+            n = np.searchsorted(run[:, _FINISH], cutoff_us, "right")
+            due.append(run[:n])
+            if n < len(run):
+                kept.append(run[n:])
+        self._served = kept
+        if due:
+            self._emit(np.concatenate(due))
 
     def _emit(self, rows: np.ndarray) -> None:
         """Count emitted tasks into the statistics; records and validations go in finish order."""
@@ -246,14 +240,10 @@ class TaskPipeline:
                     self.totals[k].append(kept)
         self.records_emitted += len(rows)
         if self.record_sink is not None:
-            rows = _in_finish_order(rows)
-            self._record(rows)
-        if self.on_validated is not None:
-            validated = rows.compress(rows[:, _KIND] == TaskKind.TRANSACTION_VALIDATION, axis=0)
-            if self.record_sink is None:  # else rows are in finish order already
-                validated = _in_finish_order(validated)
-            for finish, task_id in validated[:, [_FINISH, _TID]].tolist():
-                self.on_validated(finish, task_id)
+            self._record(_in_finish_order(rows))
+        validated = rows.compress(kind == TaskKind.TRANSACTION_VALIDATION, axis=0)
+        for finish, task_id in _in_finish_order(validated)[:, [_FINISH, _TID]].tolist():
+            self.on_validated(finish, task_id)
 
     def _record(self, rows: np.ndarray) -> None:
         sink = self.record_sink
@@ -275,8 +265,7 @@ class TaskPipeline:
 
     def unfinished(self) -> int:
         """Independent in-flight count: tasks taken in, held or served, but not emitted."""
-        return len(self._held) + sum(len(part) for parts in self._buckets.values()
-                                     for part in parts)
+        return len(self._held) + sum(map(len, self._served))
 
 
 def _in_finish_order(rows: np.ndarray) -> np.ndarray:
@@ -336,10 +325,10 @@ class ScenarioRunner:
         self.pipelines: dict[Policy, TaskPipeline] = {}
         self.chains: dict[Policy, Chain] = {}
         for pol in self.policies:
-            placement = Placement(pol, topo, wl["profiles"])
-            pipeline = self.pipelines[pol] = TaskPipeline(placement, self.warmup_us, record_sink)
             chain = self.chains[pol] = Chain()
-            pipeline.on_validated = partial(self._tx_validated, chain)
+            self.pipelines[pol] = TaskPipeline(Placement(pol, topo, wl["profiles"]),
+                                               partial(self._tx_validated, chain),
+                                               self.warmup_us, record_sink)
         self.pipeline, *peers = self.pipelines.values()
         self.pipeline.peers = peers
         self.chain = self.chains[self.policies[0]]
@@ -460,10 +449,10 @@ class ScenarioRunner:
     # -- execution ----------------------------------------------------------
 
     def run(self) -> None:
-        """Generate a window at a time; resolve once RESOLVE_ROWS tasks wait, and at the end."""
+        """Generate a second at a time; resolve once RESOLVE_ROWS tasks wait, and at the end."""
         engine = self.engine
         pipeline = self.pipeline
-        for cutoff in range(WINDOW_US - 1, self.horizon_us, WINDOW_US):
+        for cutoff in range(US_PER_S - 1, self.horizon_us, US_PER_S):
             engine.run_until(cutoff)
             if pipeline.buffered() >= RESOLVE_ROWS:
                 pipeline.resolve(cutoff)

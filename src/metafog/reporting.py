@@ -43,10 +43,10 @@ def _ms_str_to_us(text: str) -> int | None:
     return int(text.replace(".", ""))
 
 
-def _count(text: str) -> int:
-    """A results.csv count: an integer >= 0, in digits only, as write_results_csv writes it."""
+def _whole(text: str) -> int:
+    """A results.csv count, replication or seed: an integer >= 0 in digits only, as written."""
     if not (text.isascii() and text.isdigit()):
-        raise ConfigError(f"{text!r} is not a count >= 0")
+        raise ConfigError(f"{text!r} is not an integer >= 0")
     return int(text)
 
 
@@ -76,13 +76,17 @@ def write_results_csv(results: list[ScenarioResult], path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _value_from_str(text: str):
-    return int(text) if text.lstrip("-").isdigit() else float(text)
+def _value(text: str) -> int | float:
+    """A results.csv swept value: a finite number > 0, an int if written in digits only."""
+    value = int(text) if text.isascii() and text.isdigit() else float(text)
+    if not 0 < value < float("inf"):
+        raise ConfigError(f"{text!r} is not a finite number > 0")
+    return value
 
 
 # The columns a scenario's rows share, and how each is read.
-_SCENARIO_COLUMNS = {"policy": str, "param": str, "value": _value_from_str, "replication": int,
-                     "seed": int, "config_digest": str}
+_SCENARIO_COLUMNS = {"policy": str, "param": str, "value": _value, "replication": _whole,
+                     "seed": _whole, "config_digest": str}
 
 
 def _field(path, line: int, row: dict, column: str, parse=str):
@@ -103,9 +107,10 @@ def parse_results_csv(path: str | Path) -> list[ScenarioResult]:
 
     A missing column, or a field that is missing or does not parse, is a
     ConfigError that names the file, the row (the header is row 1) and the
-    column; so is a count that is not an integer >= 0, a latency <= 0 or
-    one its count disagrees with, a kind given twice for a scenario, and a
-    scenario column that differs from the scenario's first row.
+    column; so is a count, replication or seed that is not an integer >= 0,
+    a value that is not a finite number > 0, a latency <= 0 or one its count
+    disagrees with, a kind given twice for a scenario, and a scenario column
+    that differs from the scenario's first row.
     """
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -123,7 +128,7 @@ def parse_results_csv(path: str | Path) -> list[ScenarioResult]:
         key = field("scenario")
         given = {column: field(column, parse) for column, parse in _SCENARIO_COLUMNS.items()}
         kind = field("kind")
-        count = field("count", _count)
+        count = field("count", _whole)
         stats = KindStats(count, *(field(f"{stat}_ms", partial(_latency_us, count))
                                    for stat in ("mean", "p50", "p95", "p99")))
         result = by_scenario.setdefault(key, ScenarioResult(key, **given, stats={}))

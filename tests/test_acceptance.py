@@ -177,7 +177,7 @@ def test_criterion_5_hand_trace_oracle():
     }
     placement = Placement(Policy.FOG_EDGE, topo, profiles)
     records = []
-    pipeline = TaskPipeline(placement, record_sink=records.append)
+    pipeline = TaskPipeline(placement, lambda finish, task_id: None, record_sink=records.append)
     pipeline.submit(TaskKind.SPATIAL_NAVIGATION, 0, 0)  # task ids are submit indexes
     pipeline.submit(TaskKind.SPATIAL_NAVIGATION, 1, 0)
     pipeline.submit(TaskKind.SOCIAL_INTERACTION, 0, 1_000, region=0)  # region (0, 0)

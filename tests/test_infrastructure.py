@@ -320,7 +320,8 @@ class TestEndToEndLatency:
         (fog,) = home_fogs(topo)
         records = []
         placement = Placement(Policy.FOG_EDGE, topo, PROFILES)
-        pipeline = TaskPipeline(placement, record_sink=records.append)
+        pipeline = TaskPipeline(placement, lambda finish, task_id: None,
+                                record_sink=records.append)
         pipeline.submit(kind, owner, 0)
         pipeline.resolve(10_000_000)
         assert len(records) == 1
