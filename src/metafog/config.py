@@ -3,9 +3,10 @@
 The config is a JSON object with five sections (world, topology, workload,
 ledger, experiment), resolved in one walk over the defaults into a new config
 that shares no section or list with them or the caller. Validation is strict:
-unknown keys are hard errors, every value is type- and range-checked, and the
-error names the key path and the constraint it violated. Silent defaults and
-ignored typos are how simulation results stop being reproducible.
+unknown keys are hard errors, the walk checks every leaf against one table
+keyed by leaf name, a few cross-key checks follow, and the error names the key
+path and the constraint it violated; set-up code relies on these checks. Silent
+defaults and ignored typos are how simulation results stop being reproducible.
 """
 
 from __future__ import annotations
@@ -121,6 +122,12 @@ def _is_scaled(v, scale: int, low: int) -> bool:
     return _is_int(v) and v >= low and v * scale <= _MAX_EXACT
 
 
+def _is_sweep(v) -> bool:
+    """A non-empty, strictly increasing list of finite numbers > 0."""
+    return isinstance(v, list) and bool(v) and all(_is_num(x) and x > 0 for x in v) and \
+        all(a < b for a, b in zip(v, v[1:]))
+
+
 _RATE = "0 or a finite number > 0 large enough that exponential gaps stay finite"
 _TIME = "finite number >= 0, at most 2^53 us"
 _TIME_POSITIVE = "finite number > 0, at most 2^53 us"
@@ -128,44 +135,43 @@ _POSITIVE_INT = "integer > 0, at most 2^53"
 _LENGTH = "integer > 0 with MI * 10^6 <= 2^53"
 _BYTES = "integer >= 0 with bytes * 8 <= 2^53"
 
-# key path -> (checker, constraint description)
+# leaf name -> (checker, constraint description), one entry per leaf name of
+# DEFAULTS; a name that recurs (length_mi, upload_bytes, ...) means one thing.
 _CHECKS = {
-    "world.width": (lambda v: _is_num(v) and v > 0, "finite number > 0"),
-    "world.height": (lambda v: _is_num(v) and v > 0, "finite number > 0"),
-    "world.regions_x": (lambda v: _is_int(v) and v >= 1, "integer >= 1"),
-    "world.regions_y": (lambda v: _is_int(v) and v >= 1, "integer >= 1"),
-    "world.cell": (lambda v: _is_num(v) and v > 0, "finite number > 0"),
-    "world.proximity_radius": (lambda v: _is_num(v) and v > 0, "finite number > 0"),
-    "world.avatar_speed": (lambda v: _is_num(v) and v >= 0, "finite number >= 0"),
-    "world.movement_tick_ms": (lambda v: _is_time(v) and v > 0, _TIME_POSITIVE),
-    "topology.devices_per_fog": (lambda v: _is_int(v) and v >= 1, "integer >= 1"),
-    "topology.edges_per_region": (lambda v: _is_int(v) and v >= 1, "integer >= 1"),
-    "topology.device_mips": (lambda v: _is_scaled(v, 1, 1), _POSITIVE_INT),
-    "topology.fog_mips": (lambda v: _is_scaled(v, 1, 1), _POSITIVE_INT),
-    "topology.edge_mips": (lambda v: _is_scaled(v, 1, 1), _POSITIVE_INT),
-    "topology.cloud_mips": (lambda v: _is_scaled(v, 1, 1), _POSITIVE_INT),
-    "workload.user_count": (lambda v: _is_int(v) and 1 <= v <= _MAX_COUNT,
-                            "integer >= 1, at most 2^20"),
-    "workload.message_rate_per_user_per_s": (_is_rate, _RATE),
-    "workload.tx_rate_per_user_per_s": (_is_rate, _RATE),
-    "ledger.batch_size": (lambda v: _is_int(v) and v >= 1, "integer >= 1"),
-    "ledger.tx_amount_max": (lambda v: _is_int(v) and v >= 1, "integer >= 1"),
-    "experiment.horizon_ms": (_is_time, _TIME),
-    "experiment.warmup_ms": (_is_time, _TIME),
-    "experiment.replications": (lambda v: _is_int(v) and v >= 1, "integer >= 1"),
-    "experiment.base_seed": (lambda v: _is_int(v) and 0 <= v < 2**64, "integer in [0, 2^64)"),
-}
-
-# Keys under topology.links.* and workload.profiles.* are checked by leaf name.
-_LEAF_CHECKS = {
+    "width": (lambda v: _is_num(v) and v > 0, "finite number > 0"),
+    "height": (lambda v: _is_num(v) and v > 0, "finite number > 0"),
+    "regions_x": (lambda v: _is_int(v) and v >= 1, "integer >= 1"),
+    "regions_y": (lambda v: _is_int(v) and v >= 1, "integer >= 1"),
+    "cell": (lambda v: _is_num(v) and v > 0, "finite number > 0"),
+    "proximity_radius": (lambda v: _is_num(v) and v > 0, "finite number > 0"),
+    "avatar_speed": (lambda v: _is_num(v) and v >= 0, "finite number >= 0"),
+    "movement_tick_ms": (lambda v: _is_time(v) and v > 0, _TIME_POSITIVE),
+    "devices_per_fog": (lambda v: _is_int(v) and v >= 1, "integer >= 1"),
+    "edges_per_region": (lambda v: _is_int(v) and v >= 1, "integer >= 1"),
+    "device_mips": (lambda v: _is_scaled(v, 1, 1), _POSITIVE_INT),
+    "fog_mips": (lambda v: _is_scaled(v, 1, 1), _POSITIVE_INT),
+    "edge_mips": (lambda v: _is_scaled(v, 1, 1), _POSITIVE_INT),
+    "cloud_mips": (lambda v: _is_scaled(v, 1, 1), _POSITIVE_INT),
     "propagation_ms": (_is_time, _TIME),
     "bandwidth_mbps": (lambda v: _is_scaled(v, 1, 1), _POSITIVE_INT),
+    "user_count": (lambda v: _is_int(v) and 1 <= v <= _MAX_COUNT, "integer >= 1, at most 2^20"),
+    "message_rate_per_user_per_s": (_is_rate, _RATE),
+    "tx_rate_per_user_per_s": (_is_rate, _RATE),
     "length_mi": (lambda v: _is_scaled(v, 10**6, 1), _LENGTH),
     "base_length_mi": (lambda v: _is_scaled(v, 10**6, 1), _LENGTH),
     "per_neighbor_mi": (lambda v: _is_scaled(v, 10**6, 0), "integer >= 0 with MI * 10^6 <= 2^53"),
     "upload_bytes": (lambda v: _is_scaled(v, 8, 0), _BYTES),
     "download_bytes": (lambda v: _is_scaled(v, 8, 0), _BYTES),
     "period_ms": (lambda v: _is_time(v) and v > 0, _TIME_POSITIVE),
+    "batch_size": (lambda v: _is_int(v) and v >= 1, "integer >= 1"),
+    "tx_amount_max": (lambda v: _is_int(v) and v >= 1, "integer >= 1"),
+    "horizon_ms": (_is_time, _TIME),
+    "warmup_ms": (_is_time, _TIME),
+    "replications": (lambda v: _is_int(v) and v >= 1, "integer >= 1"),
+    "base_seed": (lambda v: _is_int(v) and 0 <= v < 2**64, "integer in [0, 2^64)"),
+    "user_count_sweep": (lambda v: _is_sweep(v) and all(map(_is_int, v)),
+                         "a non-empty, strictly increasing list of integers > 0"),
+    "tx_rate_sweep": (_is_sweep, "a non-empty, strictly increasing list of finite numbers > 0"),
 }
 
 
@@ -184,9 +190,9 @@ def _resolve(defaults: dict, given: dict, prefix: str) -> dict:
             continue
         if isinstance(value, dict):
             raise ConfigError(f"config key {here!r} must be a value, not a section")
-        check = _CHECKS.get(here) or _LEAF_CHECKS.get(key)
-        if check is not None and not check[0](value):
-            raise ConfigError(f"config key {here!r} = {value!r}: must be {check[1]}")
+        check, constraint = _CHECKS[key]
+        if not check(value):
+            raise ConfigError(f"config key {here!r} = {value!r}: must be {constraint}")
         section[key] = list(value) if isinstance(value, list) else value
     return section
 
@@ -197,7 +203,8 @@ def resolve_config(overrides: dict | None = None) -> dict:
     None selects every default. Returns a new, fully-populated config dict
     that shares no section or list with the defaults or the overrides.
     Raises ConfigError naming the bad key and the constraint it violates: of
-    several faults, the first in the defaults' order.
+    several faults, the first leaf in the defaults' order, and a cross-key
+    check (grid cells, edge servers, warm-up) only once every leaf holds.
     """
     overrides = {} if overrides is None else overrides
     if not isinstance(overrides, dict):
@@ -227,18 +234,6 @@ def resolve_config(overrides: dict | None = None) -> dict:
             f"config key 'experiment.warmup_ms' = {exp['warmup_ms']!r}: "
             f"must be <= experiment.horizon_ms ({exp['horizon_ms']!r})"
         )
-    for name in ("user_count_sweep", "tx_rate_sweep"):
-        values = exp[name]
-        if not isinstance(values, list) or not values:
-            raise ConfigError(f"config key 'experiment.{name}': must be a non-empty list")
-        for v in values:
-            if not _is_num(v) or v <= 0:
-                raise ConfigError(
-                    f"config key 'experiment.{name}': values must be finite numbers > 0")
-        if any(b <= a for a, b in zip(values, values[1:])):
-            raise ConfigError(f"config key 'experiment.{name}': values must be strictly increasing")
-        if name == "user_count_sweep" and not all(_is_int(v) for v in values):
-            raise ConfigError("config key 'experiment.user_count_sweep': values must be integers")
     return cfg
 
 

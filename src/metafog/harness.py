@@ -46,7 +46,7 @@ from .engine import (
 )
 from .errors import ConfigError, ScenarioError
 from .infrastructure import LatencyRecord
-from .ledger import Chain, Transaction, validate_transaction
+from .ledger import Chain, Transaction
 from .stats import percentile
 from .workload import KIND_LABELS, SYSTEM_OWNER, Placement, Policy, TaskKind
 from .world import World, WorldGrid
@@ -426,7 +426,6 @@ class ScenarioRunner:
         # each transaction buys a fresh asset, numbered like the transaction
         tx = Transaction(self.tx_submitted, user, seller, self.tx_submitted, amount, now)
         self.tx_submitted += 1
-        validate_transaction(tx)
         pipeline = self.pipeline
         self._txs[pipeline.tasks_generated + pipeline.buffered()] = tx  # the id submit gives it
         self._submit_region_task(TaskKind.TRANSACTION_VALIDATION, user, now)
@@ -534,8 +533,11 @@ def run_scenario(config: dict | None, policy: Policy | str, seed: int, *,
     for the defaults themselves. The record_sink, when given, receives every
     LatencyRecord as it is emitted. The result's id is run/<policy>/seed<seed>,
     with param 'none', the user count as value and replication 0, and it
-    carries the ledger export as chain.
+    carries the ledger export as chain. A seed that is not an integer >= 0 is
+    a ConfigError, as results.csv holds no other.
     """
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ConfigError(f"seed = {seed!r}: must be an integer >= 0")
     cfg = resolve_config(config)
     pol = Policy.parse(policy) if isinstance(policy, str) else policy
     runner = ScenarioRunner(cfg, pol, seed, record_sink)

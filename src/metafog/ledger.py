@@ -37,14 +37,6 @@ class Transaction:
         ).encode("ascii")
 
 
-def validate_transaction(tx: Transaction) -> None:
-    """Reject malformed transactions before any validation task is created."""
-    if tx.buyer == tx.seller:
-        raise ValueError(f"transaction {tx.tx_id}: buyer and seller must differ")
-    if tx.amount < 0:
-        raise ValueError(f"transaction {tx.tx_id}: amount must be >= 0")
-
-
 def block_hash(index: int, prev_hash: bytes, txs: tuple[Transaction, ...], formed_at_us: int) -> bytes:
     body = f"{index}|{prev_hash.hex()}|{formed_at_us}|{len(txs)}|".encode("ascii")
     body += b";".join(tx.serialize() for tx in txs)

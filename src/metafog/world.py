@@ -41,14 +41,6 @@ class WorldGrid:
     regions_y: int
     cell: float
 
-    def __post_init__(self):
-        if self.width <= 0 or self.height <= 0:
-            raise ConfigError("world: width and height must be > 0")
-        if self.regions_x < 1 or self.regions_y < 1:
-            raise ConfigError("world: regions_x and regions_y must be >= 1")
-        if self.cell <= 0:
-            raise ConfigError("world: cell must be > 0")
-
     # cached_property stores into the instance __dict__, which the frozen
     # __setattr__ does not guard; later reads are plain attribute lookups.
     @cached_property

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from metafog import harness
 from metafog.cli import main as cli_main
-from metafog.config import DEFAULTS, config_digest, load_config, resolve_config
+from metafog.config import _CHECKS, DEFAULTS, config_digest, load_config, resolve_config
 from metafog.errors import ConfigError, ScenarioError
 from metafog.harness import ScenarioRunner, TaskPipeline, run_scenario, sweep
 from metafog.workload import Policy, TaskKind
@@ -69,6 +69,33 @@ class TestConfig:
     def test_sweep_values_must_increase(self):
         with pytest.raises(ConfigError, match="strictly increasing"):
             resolve_config({"experiment": {"user_count_sweep": [100, 100]}})
+
+    @pytest.mark.parametrize("key, value", [
+        ("user_count_sweep", []),
+        ("user_count_sweep", [100, 150.5]),
+        ("user_count_sweep", (100, 200)),
+        ("tx_rate_sweep", [2, 1]),
+        ("tx_rate_sweep", [0, 1]),
+        ("tx_rate_sweep", [1, math.inf]),
+    ])
+    def test_a_bad_sweep_list_is_named_with_its_constraint(self, key, value):
+        kind = "integers" if key == "user_count_sweep" else "finite numbers"
+        message = (f"config key 'experiment.{key}' = {value!r}: must be a non-empty, "
+                   f"strictly increasing list of {kind} > 0")
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            resolve_config({"experiment": {key: value}})
+
+    def test_a_bad_sweep_list_is_named_before_the_cross_key_checks(self):
+        with pytest.raises(ConfigError, match="^config key 'experiment.tx_rate_sweep'"):
+            resolve_config({"experiment": {"horizon_ms": 1_000.0, "tx_rate_sweep": []}})
+
+    @pytest.mark.parametrize("key", ["width", "height", "cell", "regions_x", "regions_y"])
+    def test_a_zero_world_size_is_named(self, key):
+        with pytest.raises(ConfigError, match=f"^config key 'world.{key}' = 0: must be "):
+            resolve_config({"world": {key: 0}})
+
+    def test_one_check_per_leaf_name(self):
+        assert set(_CHECKS) == {path.rsplit(".", 1)[-1] for path in _leaf_paths(DEFAULTS)}
 
     def test_digest_is_stable_and_sensitive(self):
         a = config_digest(resolve_config(None))
@@ -293,6 +320,12 @@ class TestRunScenario:
         a = run_scenario(SMALL, "fogedge", 42)
         b = run_scenario(SMALL, "fogedge", 42)
         assert json.dumps(asdict(a), sort_keys=True) == json.dumps(asdict(b), sort_keys=True)
+
+    @pytest.mark.parametrize("seed", [-1, True, 1.0, "1"])
+    def test_a_seed_that_is_not_an_integer_at_least_0_is_refused(self, seed):
+        with pytest.raises(ConfigError, match=f"^seed = {re.escape(repr(seed))}: must be an "
+                                              "integer >= 0$"):
+            run_scenario(SMALL, "cloud", seed)
 
     def test_zero_horizon_yields_empty_result(self):
         cfg = {"workload": {"user_count": 5},
@@ -878,6 +911,16 @@ class TestCli:
                          "--seed", "1", "--out", str(tmp_path / "x")])
         assert code == 2
         assert "user_count" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", ["-1", "-42"])
+    def test_a_negative_seed_exits_2_and_writes_nothing(self, seed, cfg_file, tmp_path,
+                                                         capsys):
+        out = tmp_path / "x"
+        code = cli_main(["run", "--config", str(cfg_file), "--policy", "cloud",
+                         "--seed", seed, "--out", str(out)])
+        assert code == 2
+        assert f"error: seed = {seed}: must be an integer >= 0" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("text, key", [
         ('{"experiment": {"horizon_ms": Infinity}}', "experiment.horizon_ms"),

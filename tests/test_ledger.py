@@ -3,34 +3,37 @@
 import random
 from dataclasses import replace
 
-import pytest
-
-from metafog.harness import run_scenario
-from metafog.ledger import (
-    ZERO_DIGEST,
-    Chain,
-    Transaction,
-    block_hash,
-    validate_transaction,
-)
+from metafog.config import resolve_config
+from metafog.harness import ScenarioRunner, run_scenario
+from metafog.ledger import ZERO_DIGEST, Chain, Transaction, block_hash
+from metafog.workload import Policy
 
 
-def tx(i, buyer=None, seller=None, amount=10):
-    return Transaction(i, buyer if buyer is not None else i,
-                       seller if seller is not None else i + 1, i, amount, i * 1_000)
+def tx(i, amount=10):
+    return Transaction(i, i, i + 1, i, amount, i * 1_000)
 
 
-class TestValidation:
-    def test_buyer_equal_seller_rejected(self):
-        with pytest.raises(ValueError, match="buyer and seller"):
-            validate_transaction(tx(0, buyer=5, seller=5))
-
-    def test_negative_amount_rejected(self):
-        with pytest.raises(ValueError, match="amount"):
-            validate_transaction(tx(0, amount=-1))
-
-    def test_zero_amount_is_fine(self):
-        validate_transaction(tx(0, amount=0))
+class TestDrawnTransactions:
+    def test_every_chained_transaction_of_a_run_is_well_formed(self):
+        # few users and a small amount range, so a seller equal to its buyer
+        # or an amount out of range would show within a few hundred draws
+        cfg = resolve_config({
+            "workload": {"user_count": 4, "tx_rate_per_user_per_s": 2.0,
+                         "message_rate_per_user_per_s": 0.0},
+            "ledger": {"batch_size": 5, "tx_amount_max": 3},
+            "experiment": {"horizon_ms": 60_000.0, "warmup_ms": 0.0},
+        })
+        runner = ScenarioRunner(cfg, Policy.FOG_EDGE, 11)
+        runner.run()
+        txs = [t for block in runner.chain.blocks for t in block.txs]
+        assert len(txs) > 300
+        for t in txs:
+            assert t.buyer != t.seller, t
+            assert 1 <= t.amount <= 3, t
+            assert t.asset == t.tx_id, t
+        assert {t.amount for t in txs} == {1, 2, 3}
+        assert {(t.buyer, t.seller) for t in txs} == \
+            {(b, s) for b in range(4) for s in range(4) if b != s}
 
 
 class TestBatching:
