@@ -557,31 +557,37 @@ def value_label(value) -> str:
 SWEEP_PARAMS = ("user_count", "tx_rate")
 
 
-def _scenario_overrides(cfg: dict, param: str, value) -> dict:
-    """Per-scenario config with the swept parameter applied; the worker's
-    resolve_config copies the sections it shares with cfg."""
+def _scenario_config(cfg: dict, param: str, value) -> dict:
+    """A swept value's resolved config; a ConfigError names the value's first scenario."""
     workload = dict(cfg["workload"])
     if param == "user_count":
-        workload["user_count"] = int(value)
+        workload["user_count"] = value
     else:  # the aggregate transaction rate per second, spread over the fixed users
         workload["tx_rate_per_user_per_s"] = value / workload["user_count"]
-    return {**cfg, "workload": workload}
+    try:
+        return resolve_config({**cfg, "workload": workload})
+    except ConfigError as exc:
+        raise _named(exc, param, value, 0, cfg["experiment"]["base_seed"]) from exc
+
+
+def _named(exc: Exception, param: str, value, replication: int, seed: int) -> Exception:
+    """exc, named by its sweep scenario; a ConfigError stays a ConfigError."""
+    where = f"sweep scenario {param}={value_label(value)} rep{replication} (seed {seed})"
+    if isinstance(exc, ConfigError):
+        return type(exc)(f"{where}: {exc}")
+    return ScenarioError(f"{where} failed: {type(exc).__name__}: {exc}")
 
 
 def _sweep_worker(job: tuple) -> list[ScenarioResult]:
-    """One (value, replication) of a sweep under both policies; a failure names it."""
+    """One (value, replication) of a sweep, on its resolved config, under both policies."""
     scenario_cfg, seed, param, value, replication = job
     try:
-        runner = ScenarioRunner(resolve_config(scenario_cfg),
-                                (Policy.CLOUD_ONLY, Policy.FOG_EDGE), seed)
+        runner = ScenarioRunner(scenario_cfg, (Policy.CLOUD_ONLY, Policy.FOG_EDGE), seed)
         runner.run()
         return [runner.collect(f"{param}={value_label(value)}/{pol.value}/rep{replication}",
                                param, value, replication, pol) for pol in runner.policies]
-    except Exception as exc:
-        where = f"sweep scenario {param}={value_label(value)} rep{replication} (seed {seed})"
-        if isinstance(exc, ConfigError):
-            raise type(exc)(f"{where}: {exc}") from exc
-        raise ScenarioError(f"{where} failed: {type(exc).__name__}: {exc}") from exc
+    except Exception as exc:  # a ConfigError here is _serve's FIFO overflow, raised mid-run
+        raise _named(exc, param, value, replication, seed) from exc
 
 
 def sweep(config: dict | None, param: str, values: list | None = None,
@@ -596,8 +602,8 @@ def sweep(config: dict | None, param: str, values: list | None = None,
     A scenario that fails raises an error naming its value, replication and
     seed; a ConfigError stays a ConfigError. An empty value list,
     replications that are not an integer >= 1, a value given twice, a
-    user_count that is not an integer and a tx_rate that is not > 0 are
-    refused before any scenario runs.
+    tx_rate that is not > 0 and a value whose config does not resolve are
+    refused before any scenario runs: each value's config is resolved once.
     """
     cfg = resolve_config(config)
     exp = cfg["experiment"]
@@ -614,13 +620,12 @@ def sweep(config: dict | None, param: str, values: list | None = None,
     for i, value in enumerate(values):
         if value in values[:i]:
             raise ConfigError(f"sweep values: {value_label(value)} is given more than once")
-        if param == "user_count" and value % 1 != 0:
-            raise ConfigError(f"sweep values: user_count {value_label(value)} is not an integer")
         if param == "tx_rate" and not value > 0:
             raise ConfigError(f"sweep values: tx_rate {value_label(value)} is not > 0")
 
-    jobs = [(_scenario_overrides(cfg, param, value), exp["base_seed"] + rep, param, value, rep)
-            for value in values for rep in range(replications)]
+    configs = [_scenario_config(cfg, param, value) for value in values]
+    jobs = [(scenario_cfg, exp["base_seed"] + rep, param, value, rep)
+            for value, scenario_cfg in zip(values, configs) for rep in range(replications)]
     if parallel:
         from concurrent.futures import ProcessPoolExecutor  # only a parallel sweep loads it
         with ProcessPoolExecutor(max_workers=max_workers) as pool:

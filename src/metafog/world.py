@@ -28,7 +28,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import _MAX_COUNT
 from .engine import RngStream
 from .errors import ConfigError, SimulationError
 
@@ -120,17 +119,17 @@ class World:
     """All avatars plus the two grids that serve neighbour queries.
 
     The count grid (count_grid, cells of world.cell) holds each avatar's
-    cell and, for every cell, the number of avatars in its 3x3 block. The
-    proximity grid (near_grid) holds each avatar's cell and each cell's
-    member list of Avatar objects. Its cells are at least radius wide, the
-    largest radius nearby_users accepts, so a 3x3 scan covers the whole
-    disc. Where a count cell holds fewer than two avatars on average and the
-    radius is at most world.cell, the proximity grid is the count grid
-    itself: a 3x3 block of count cells then holds too few avatars for a
-    finer scan to pay for a second set of borders to cross. Otherwise the
-    side is the radius, raised to 1/2^20 of each edge of the world if that
-    is larger, and doubled while the grid has more than 2^20 cells inside
-    its border, so no radius asks for millions of lists.
+    cell and each cell's 3x3-block count. The proximity grid (near_grid)
+    holds each avatar's cell and each cell's member list of Avatar objects;
+    its cells are at least radius wide, the largest radius nearby_users
+    accepts, so a 3x3 scan covers the disc. With n avatars on C count cells,
+    it is the count grid itself if n < 2C and radius <= world.cell: so few
+    avatars do not pay for a finer scan's second set of borders. Otherwise
+    its side is max(radius, world.cell * min(1, sqrt(C / n) / 2)), about
+    four cells per avatar at the finest. So a radius above world.cell gives
+    at most C <= 2^20 cells, any other (n >= 2C) at most (4 + sqrt(2)) n +
+    2 sqrt(n) + 1, and, with n <= 2^20, no side is below world.cell / 2048,
+    not even for a subnormal radius.
 
     Both grids are kept incrementally: an avatar is rebucketed only when a
     tick moves it across a cell border of either. Queries therefore always
@@ -146,12 +145,8 @@ class World:
         if n_users < 2 * count.nx * count.ny and radius <= grid.cell:
             near = count
         else:
-            # no axis of more than 2^20 cells, so even a subnormal radius
-            # gives finite cell counts
-            near = CellGrid.over(grid, max(radius, grid.width / _MAX_COUNT,
-                                           grid.height / _MAX_COUNT))
-            while near.nx * near.ny > _MAX_COUNT:
-                near = CellGrid.over(grid, 2 * near.side)
+            near = CellGrid.over(grid, max(radius, grid.cell * min(
+                1, math.sqrt(count.nx * count.ny / n_users) / 2)))
         self.near_grid = count if near == count else near
         draws = np.array(rng.uniforms(4 * n_users)).reshape(-1, 4)
         draws *= (grid.width, grid.height, grid.width, grid.height)

@@ -600,7 +600,8 @@ class TestSweep:
             sweep(SMALL, param, values, replications=1)
 
     @pytest.mark.parametrize("param, values, message, replications", [
-        ("user_count", [4, 2.5], "values: user_count 2.5 is not an integer", 1),
+        ("user_count", [4, 2.5], r"scenario user_count=2\.5 rep0 \(seed 42\): config key "
+         r"'workload\.user_count' = 2\.5: must be integer >= 1, at most 2\^20", 1),
         ("tx_rate", [1, 0], "values: tx_rate 0 is not > 0", 1),
         ("tx_rate", [float("nan")], "values: tx_rate nan is not > 0", 1),
         ("user_count", [], "values: none given", 1),
@@ -615,8 +616,24 @@ class TestSweep:
             sweep(SMALL, param, values, replications=replications)
 
     @pytest.mark.parametrize("parallel", [False, True])
+    @pytest.mark.parametrize("param, values, key", [
+        ("user_count", [4, 2**21], "workload.user_count"),
+        ("user_count", [4, 0], "workload.user_count"),
+        # 1e-300 / 8 users: exponential gaps of that rate overflow
+        ("tx_rate", [1, 1e-300], "workload.tx_rate_per_user_per_s"),
+        ("tx_rate", [1, math.inf], "workload.tx_rate_per_user_per_s"),
+    ])
+    def test_a_value_whose_config_does_not_resolve_is_refused_before_any_scenario_runs(
+            self, param, values, key, parallel, monkeypatch):
+        monkeypatch.setattr(ScenarioRunner, "run", None)  # any run would raise TypeError
+        where = re.escape(f"sweep scenario {param}={values[-1]} rep0 (seed 42): config key "
+                          f"'{key}' = ")
+        with pytest.raises(ConfigError, match=f"^{where}"):
+            sweep(SMALL, param, values, replications=2, parallel=parallel, max_workers=2)
+
+    @pytest.mark.parametrize("parallel", [False, True])
     def test_a_failing_scenario_is_named_and_stays_a_config_error(self, parallel):
-        # user_count 0 is refused by the config check inside the worker
+        # user_count 0 is refused when sweep resolves its config, before any run
         with pytest.raises(ConfigError, match=r"user_count=0 rep0 \(seed 42\): .*user_count"):
             sweep(SMALL, "user_count", values=[4, 0], replications=2, parallel=parallel,
                   max_workers=2)

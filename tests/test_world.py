@@ -251,18 +251,51 @@ class TestProximityQueries:
         assert world.near_grid == CellGrid(50.0, 20, 20)
 
     def test_a_tiny_radius_keeps_the_proximity_grid_bounded(self):
-        # dense: 2000 avatars on 625 count cells; the side starts at
-        # 1000 / 2^20 and doubles to the first with at most 2^20 cells
+        # dense: 2000 avatars on 625 count cells; the side is the floor
+        # 40 * sqrt(625 / 2000) / 2, about four cells per avatar
         for radius in (1e-6, 5e-324):
             world = World(GRID, 2000, 0.0, RngStream(2, "movement"), radius)
             near = world.near_grid
-            assert near == CellGrid(1000.0 / 2**10, 1024, 1024)
+            assert near == CellGrid(20 * math.sqrt(625 / 2000), 90, 90)
             assert len(world._members) == near.size
         # sparse: a strip of 2^20 count cells shares its grid, whose border
         # takes it above 2^20 cells, rather than building a second one
         long_strip = WorldGrid(2.0**20, 1.0, 1, 1, 1.0)
         world = World(long_strip, 1000, 0.0, RngStream(2, "movement"), 1e-6)
         assert world.near_grid is world.count_grid
+
+    def test_a_crowd_at_a_tiny_radius_builds_a_few_lists_per_avatar(self):
+        # 1000 avatars on 8 x 8 count cells: the floor, 40 * sqrt(64 / 1000) / 2,
+        # gives 60 x 60 cells where a grid of the radius would have millions
+        crowd = WorldGrid(300.0, 300.0, 5, 5, 40.0)
+        world = World(crowd, 1000, 1.0, RngStream(2, "movement"), 0.01)
+        assert len(world._members) == world.near_grid.size <= 4_100
+        for user in range(0, 1000, 50):
+            assert set(world.nearby_users(user, 0.01)) == brute_force_nearby(world, user, 0.01)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), cell=st.floats(0.01, 100.0),
+           cells=st.one_of(st.tuples(st.integers(1, 30), st.integers(1, 30)),
+                           st.tuples(st.integers(1, 1_000), st.just(1)),
+                           st.tuples(st.just(1), st.integers(1, 1_000))),
+           shortfall=st.tuples(st.floats(0.0, 0.99), st.floats(0.0, 0.99)),
+           density=st.one_of(st.just(2.0), st.floats(2.0, 6.0)))
+    def test_the_proximity_grid_of_a_dense_world_is_bounded(self, data, cell, cells,
+                                                           shortfall, density):
+        # n >= 2C avatars on C count cells, so the proximity grid is never the
+        # count grid's by sparseness; strips and subnormal radii included
+        grid = WorldGrid((cells[0] - shortfall[0]) * cell, (cells[1] - shortfall[1]) * cell,
+                         1, 1, cell)
+        count = CellGrid.over(grid, cell)
+        n = math.ceil(density * count.nx * count.ny)
+        radius = data.draw(st.one_of(st.floats(5e-324, 1e-300),
+                                     st.floats(0.0, 3.0, exclude_min=True).map(cell.__mul__)),
+                           label="radius")
+        near = World(grid, n, 0.0, RngStream(1, "movement"), radius).near_grid
+        assert near.side >= radius
+        assert near.nx * near.ny <= (4 + math.sqrt(2)) * n + 2 * math.sqrt(n) + 1
+        if radius > cell:
+            assert near.nx * near.ny <= count.nx * count.ny
 
     def test_nearby_matches_brute_force_on_random_layouts(self):
         for seed in range(30):
