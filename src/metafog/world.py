@@ -133,7 +133,9 @@ class World:
 
     Both grids are kept incrementally: an avatar is rebucketed only when a
     tick moves it across a cell border of either. Queries therefore always
-    see every avatar at its most recently ticked position.
+    see every avatar at its most recently ticked position. A cell no avatar
+    has entered holds the one shared empty tuple; the first to enter gives it
+    a list, so the member lists grow with the avatars, not with the cells.
     """
 
     def __init__(self, grid: WorldGrid, n_users: int, speed: float, rng: RngStream,
@@ -165,9 +167,12 @@ class World:
         # of count-grid cell c, so a collision-candidate query is one lookup.
         self._nbsum = self.count_grid.block_sums(cells)
         self._near_of = nears.tolist()
-        self._members: list[list[Avatar]] = [[] for _ in range(near.size)]
+        self._members: list[list[Avatar] | tuple[()]] = [()] * near.size
         for avatar, p in zip(self.avatars, self._near_of):
-            self._members[p].append(avatar)
+            if self._members[p]:
+                self._members[p].append(avatar)
+            else:
+                self._members[p] = [avatar]
 
     def rebucket(self, avatar: Avatar, region: int, c: int, p: int) -> None:
         """Move an avatar into region index region, count-grid cell c and proximity-grid cell p.
@@ -187,7 +192,10 @@ class World:
         if old != p:
             self._near_of[user] = p
             self._members[old].remove(avatar)
-            self._members[p].append(avatar)
+            if self._members[p]:
+                self._members[p].append(avatar)
+            else:
+                self._members[p] = [avatar]
 
     def _place(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, ...]:
         """Region index, count-grid cell and proximity-grid cell of each position.

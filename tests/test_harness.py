@@ -939,6 +939,25 @@ class TestCli:
         assert f"error: seed = {seed}: must be an integer >= 0" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_the_module_exits_with_the_status_main_returns(self, cfg_file, tmp_path):
+        # the status must reach the shell; the console script wraps main the same way
+        src = str(Path(harness.__file__).parents[1])
+
+        def metafog(seed, out):
+            return subprocess.run(
+                [sys.executable, "-m", "metafog.cli", "run", "--config", str(cfg_file),
+                 "--policy", "cloud", "--seed", seed, "--out", str(out)],
+                capture_output=True, text=True, timeout=300,
+                env={**os.environ, "PYTHONPATH": src})
+
+        ran = metafog("9", tmp_path / "ran")
+        assert ran.returncode == 0, ran.stderr
+        assert (tmp_path / "ran" / "results.csv").exists()
+        refused = metafog("-1", tmp_path / "refused")
+        assert refused.returncode == 2
+        assert refused.stderr.startswith("error: ") and "Traceback" not in refused.stderr
+        assert not (tmp_path / "refused").exists()
+
     @pytest.mark.parametrize("text, key", [
         ('{"experiment": {"horizon_ms": Infinity}}', "experiment.horizon_ms"),
         ('{"world": {"width": Infinity}}', "world.width"),

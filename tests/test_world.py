@@ -259,10 +259,12 @@ class TestProximityQueries:
             assert near == CellGrid(20 * math.sqrt(625 / 2000), 90, 90)
             assert len(world._members) == near.size
         # sparse: a strip of 2^20 count cells shares its grid, whose border
-        # takes it above 2^20 cells, rather than building a second one
+        # takes it above 2^20 cells, rather than building a second one; its
+        # empty cells share one tuple, so it holds a list per avatar at most
         long_strip = WorldGrid(2.0**20, 1.0, 1, 1, 1.0)
         world = World(long_strip, 1000, 0.0, RngStream(2, "movement"), 1e-6)
         assert world.near_grid is world.count_grid
+        assert sum(type(members) is list for members in world._members) <= 1000
 
     def test_a_crowd_at_a_tiny_radius_builds_a_few_lists_per_avatar(self):
         # 1000 avatars on 8 x 8 count cells: the floor, 40 * sqrt(64 / 1000) / 2,
@@ -423,8 +425,14 @@ class TestRunnerGrids:
         for user in range(600):
             assert set(world.nearby_users(user, 50.0)) == brute_force_nearby(world, user, 50.0)
 
-    def test_a_tiny_radius_runs_on_a_bounded_proximity_grid(self):
-        cfg = resolve_config({"world": {"proximity_radius": 1e-6},
+    @pytest.mark.parametrize("overrides", [
+        {"world": {"proximity_radius": 1e-6}},
+        # 1000 avatars on 8 x 8 count cells: the crowd floor sizes the grid
+        {"world": {"width": 300.0, "height": 300.0, "regions_x": 5, "regions_y": 5,
+                   "proximity_radius": 0.01}, "workload": {"user_count": 1000}},
+    ], ids=["default", "crowd"])
+    def test_a_tiny_radius_runs_on_a_bounded_proximity_grid(self, overrides):
+        cfg = resolve_config({**overrides,
                               "experiment": {"horizon_ms": 5_000.0, "warmup_ms": 0.0}})
         runner = ScenarioRunner(cfg, Policy.FOG_EDGE, 1)
         near = runner.world.near_grid
